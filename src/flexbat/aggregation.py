@@ -105,8 +105,10 @@ class AggregateConfig:
             raise ValidationError("workers must be at least 1")
 
     def to_dict(self) -> dict:
+        """Settings that shape the tree. `workers` is left out: the pool
+        width never changes the result, so saved files do not record it."""
         return {"group_size": self.group_size, "fanout": self.fanout,
-                "policy": self.policy, "seed": self.seed, "workers": self.workers}
+                "policy": self.policy, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -347,7 +349,14 @@ def aggregate(fleet: Fleet, config: Optional[AggregateConfig] = None) -> Aggrega
         chunks = [([u for u, _ in level[i:i + cfg.fanout]],
                    [nd for _, nd in level[i:i + cfg.fanout]])
                   for i in range(0, len(level), cfg.fanout)]
+        before = len(level)
         level = run_stage(chunks, stage)
+        if len(level) >= before:
+            # every multi-unit chunk fell to singletons; another stage
+            # would repeat the same solves forever
+            raise EmptyOrDegenerate(
+                f"stage {stage}: no chunk of {before} units could be "
+                f"aggregated; the tree cannot reach a single root")
 
     root = level[0][1]
     return AggregationTree(

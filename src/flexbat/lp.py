@@ -19,7 +19,7 @@ import itertools
 import os
 import threading
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +36,10 @@ TOL_OPT = 1e-7
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+#: HiGHS methods accepted by `solve_lp`
+SIMPLEX = "highs"
+IPM = "highs-ipm"
 
 _dump_dir: Optional[str] = None
 _dump_counter = itertools.count()
@@ -146,41 +150,46 @@ def _scipy_bounds(problem: LpProblem):
     ]
 
 
-def dump_text(name: str, suffix: str, text: str) -> bool:
-    """Write a debug artifact into the dump directory, if one is active."""
+def dump_text(name: str, suffix: str, render: Callable[[], str]) -> bool:
+    """Write a debug artifact into the dump directory, if one is active.
+
+    `render` produces the text; it is only called when dumping is on, so
+    callers pay nothing for formatting otherwise.
+    """
     if _dump_dir is None:
         return False
     with _dump_lock:
         idx = next(_dump_counter)
     with open(os.path.join(_dump_dir, f"{name}_{idx:05d}.{suffix}"), "w") as fh:
-        fh.write(text)
+        fh.write(render())
     return True
 
 
-def _maybe_dump(problem: LpProblem) -> None:
-    if _dump_dir is not None:
-        dump_text(problem.name, "lp", format_lp(problem))
-
-
 def solve_lp(problem: LpProblem, tol_feas: float = TOL_FEAS,
-             tol_opt: float = TOL_OPT) -> LpSolution:
-    """Solve one LP to optimality, infeasibility, or unboundedness."""
-    _maybe_dump(problem)
-    options = {
-        "presolve": True,
-        "primal_feasibility_tolerance": max(tol_feas * 1e-2, 1e-10),
-        "dual_feasibility_tolerance": max(tol_opt * 1e-2, 1e-10),
-    }
-    res = linprog(
-        problem.objective,
+             tol_opt: float = TOL_OPT, method: str = SIMPLEX) -> LpSolution:
+    """Solve one LP to optimality, infeasibility, or unboundedness.
+
+    `method` is SIMPLEX or IPM (interior point followed by crossover, so x
+    is still a vertex). An interior-point solve that ends in anything but
+    optimal is repeated with simplex, whose verdict is returned: HiGHS'
+    IPM can report a solve error where simplex certifies infeasibility.
+    """
+    dump_text(problem.name, "lp", lambda: format_lp(problem))
+    data = dict(
         A_ub=problem.a_in if problem.a_in is not None and problem.a_in.shape[0] else None,
         b_ub=problem.b_in if problem.b_in is not None and problem.b_in.size else None,
         A_eq=problem.a_eq if problem.a_eq is not None and problem.a_eq.shape[0] else None,
         b_eq=problem.b_eq if problem.b_eq is not None and problem.b_eq.size else None,
         bounds=_scipy_bounds(problem),
-        method="highs",
-        options=options,
+        options={
+            "presolve": True,
+            "primal_feasibility_tolerance": max(tol_feas * 1e-2, 1e-10),
+            "dual_feasibility_tolerance": max(tol_opt * 1e-2, 1e-10),
+        },
     )
+    res = linprog(problem.objective, method=method, **data)
+    if method != SIMPLEX and res.status != 0:
+        res = linprog(problem.objective, method=SIMPLEX, **data)
     if res.status == 0:
         return LpSolution(
             status=OPTIMAL,

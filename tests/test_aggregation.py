@@ -8,10 +8,11 @@ from flexbat.aggregation import (AggregateConfig, AppNode, CohortNode,
                                  partition_fleet, save_tree,
                                  synthesize_battery, tree_from_dict,
                                  tree_to_dict)
-from flexbat.errors import NotInBattery, ValidationError
+from flexbat.errors import EmptyOrDegenerate, NotInBattery, ValidationError
 from flexbat.fleet import ChargingTask, Fleet, generate_fleet
 from flexbat.geometry import VirtualBattery
 from flexbat.oracle import adequacy_lp, validate_schedule
+from flexbat.projection import solve_app
 from flexbat.sampling import battery_interior_point, sample_battery
 
 
@@ -150,6 +151,25 @@ def test_aggregate_degenerate_group_retries():
     result = dispatch(tree, u)
     ordered = fleet_order_schedule(fleet, result.task_ids, result.schedule)
     assert validate_schedule(fleet, ordered, u).ok
+
+
+def test_aggregate_raises_when_a_stage_cannot_merge(monkeypatch):
+    """If every multi-unit solve fails, each stage falls to singletons and
+    the level never shrinks; aggregate must raise instead of looping."""
+    calls = []
+
+    def solo_only(lifted, nominal):
+        calls.append(lifted.elim.n_units)
+        if len(calls) > 200:
+            raise RuntimeError("aggregate keeps solving without progress")
+        if lifted.elim.n_units > 1:
+            raise EmptyOrDegenerate("forced failure")
+        return solve_app(lifted, nominal)
+
+    monkeypatch.setattr("flexbat.aggregation.solve_app", solo_only)
+    fleet = generate_fleet(6, 12, seed=2)
+    with pytest.raises(EmptyOrDegenerate, match="stage 2"):
+        aggregate(fleet, AggregateConfig(group_size=3, fanout=2))
 
 
 def test_aggregate_empty_fleet_rejected():

@@ -161,6 +161,24 @@ def test_pipeline_optimum_beats_equal_energy_profiles(small_pipeline):
         assert cost <= float(prices.prices @ z2) + 1e-7
 
 
+def test_pipeline_bundle_identical_at_any_width(tmp_path):
+    """Every bundle file, tree.json and report.json included, is the same
+    byte for byte at one and at two workers."""
+    fleet = generate_fleet(12, 24, seed=3)
+    prices = demo_price_curve(24)
+    dirs = []
+    for workers in (1, 2):
+        outdir = tmp_path / f"w{workers}"
+        run_pipeline(fleet, prices, AggregateConfig(group_size=4, fanout=3,
+                                                    workers=workers), str(outdir))
+        dirs.append(outdir)
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert names == sorted(p.name for p in dirs[1].iterdir())
+    assert "tree.json" in names and "report.json" in names
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
 def test_profile_csv_roundtrip(tmp_path):
     path = tmp_path / "p.csv"
     profile = np.array([0.0, 1.5, 2.25])

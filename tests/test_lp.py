@@ -133,10 +133,11 @@ def test_farkas_certificate_none_when_feasible():
 def test_determinism_identical_bytes():
     rng = np.random.default_rng(5)
     prob = _random_bounded_problem(rng, 20, 8, 3)
-    a = lp.solve_lp(prob)
-    b = lp.solve_lp(prob)
-    assert a.x.tobytes() == b.x.tobytes()
-    assert a.objective_value == b.objective_value
+    for method in (lp.SIMPLEX, lp.IPM):
+        a = lp.solve_lp(prob, method=method)
+        b = lp.solve_lp(prob, method=method)
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.objective_value == b.objective_value
 
 
 def test_format_lp_dump(tmp_path):
@@ -144,6 +145,8 @@ def test_format_lp_dump(tmp_path):
                         lower=[0.0, 0.0], name="demo")
     text = lp.format_lp(prob)
     assert "Minimize" in text and "Subject To" in text and "demo" in text
+    # with dumping off the text is never formatted
+    assert not lp.dump_text("demo", "lp", lambda: pytest.fail("rendered"))
     lp.set_dump_dir(str(tmp_path))
     try:
         lp.solve_lp(prob)

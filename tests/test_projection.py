@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from _helpers import random_small_fleet
+from flexbat import lp
 from flexbat.errors import DimensionMismatch, EmptyOrDegenerate, EmptyUnit
 from flexbat.fleet import ChargingTask
 from flexbat.geometry import (VirtualBattery, battery_to_hpolytope,
@@ -294,10 +297,13 @@ def test_constant_rule_never_beats_affine_rule():
 
 
 def test_translation_covariance():
-    """Shifting the nominal by w maps (s, r) to (s, r + w).
+    """Shifting the nominal by w maps a certificate (s, G, r, W, V) of one
+    problem to (s, G, r + w, W, V - W w) of the other.
 
-    The homothet translate moves by lam*w, hence r = -mu/lam picks up
-    exactly -(-lam*w)/lam = w; the scale is invariant.
+    The scale is unique, so it must match. r is not: the optimal face can
+    hold many translates, and the solver may return any vertex of it. The
+    map is exact algebra (G F w = B [I; W] w), so each solution, carried
+    over, must pass the other problem's certificate residuals.
     """
     rng = np.random.default_rng(6)
     for trial in range(6):
@@ -305,10 +311,44 @@ def test_translation_covariance():
         units = [FlexUnit.from_task(t) for t in fleet.tasks]
         lifted = eliminate(units)
         nominal = _mean_battery(units, lifted.elim.coords)
-        base = solve_app(lifted, battery_to_hpolytope(nominal))
+        base_poly = battery_to_hpolytope(nominal)
+        base = solve_app(lifted, base_poly)
         w = rng.uniform(-1.0, 1.0, lifted.m)
         shifted = VirtualBattery(nominal.p_low + w, nominal.p_high + w,
                                  nominal.e_low + w.sum(), nominal.e_high + w.sum())
-        moved = solve_app(lifted, battery_to_hpolytope(shifted))
+        moved_poly = battery_to_hpolytope(shifted)
+        moved = solve_app(lifted, moved_poly)
         assert moved.s == pytest.approx(base.s, abs=1e-6)
-        np.testing.assert_allclose(moved.r, base.r + w, atol=1e-6)
+        carried = [
+            (replace(base, r=base.r + w, v=base.v - base.w @ w), moved_poly),
+            (replace(moved, r=moved.r - w, v=moved.v + moved.w @ w), base_poly),
+        ]
+        for sol, poly in carried:
+            res = sol.residuals(lifted, poly)
+            assert max(res.values()) <= 1e-9, (trial, res)
+
+
+def test_app_ipm_failure_resolved_by_simplex(monkeypatch):
+    """An interior-point solve that gives up (HiGHS status 4) on an
+    infeasible APP LP is repeated with simplex, so the caller sees an
+    infeasible LP (EmptyOrDegenerate, handled by the fallback ladder)
+    rather than a SolverFailure."""
+    lifted = eliminate([unit((1,), 1.0, 0.5, 1.0, "a"),
+                        unit((4,), 1.0, 0.5, 1.0, "b")], coords=(1, 2, 3, 4))
+    # the nominal draws power in the pinned gap slots: no homothet fits
+    nominal = battery_to_hpolytope(
+        VirtualBattery(np.zeros(4), np.ones(4), 1.0, 2.0))
+    real = lp.linprog
+    methods = []
+
+    def flaky(*args, method, **kwargs):
+        methods.append(method)
+        res = real(*args, method=method, **kwargs)
+        if method == lp.IPM:
+            res.status, res.message = 4, "HiGHS Status 4: Solve error"
+        return res
+
+    monkeypatch.setattr(lp, "linprog", flaky)
+    with pytest.raises(EmptyOrDegenerate, match="infeasible"):
+        solve_app(lifted, nominal)
+    assert methods == [lp.IPM, lp.SIMPLEX]

@@ -2,8 +2,10 @@
 
 Exit codes: 0 ok, 2 validation failure, 3 degenerate aggregation, 4 I/O.
 Worker-pool width comes from --workers or the FLEX_WORKERS environment
-variable. All CSVs are slot-indexed with a header row and %.6f values;
-JSON files are pretty-printed with sorted keys so reruns diff cleanly.
+variable. Arbitrage is solved in closed form, not by an LP solver, so
+--dump-lp writes only the aggregation's LPs. All CSVs are slot-indexed
+with a header row and %.6f values; JSON files are pretty-printed with
+sorted keys so reruns diff cleanly.
 """
 
 from __future__ import annotations
@@ -86,22 +88,37 @@ def load_prices(path: str, unit: str = "mwh", m: Optional[int] = None) -> PriceS
 
 def arbitrage(battery: VirtualBattery, prices: PriceSeries,
               delta: float = 1.0) -> ArbitrageResult:
-    """Cheapest aggregate profile inside the battery: minimize price . z."""
+    """Cheapest aggregate profile inside the battery: minimize price . z.
+
+    The battery is a box cut by one energy interval, so this LP is a
+    fractional knapsack and is solved exactly without a solver: start at
+    p_low, then fill slots up to p_high in ascending price order (ties in
+    slot order) until the energy floor is met, and beyond it only while
+    the price is negative and the energy ceiling allows.
+    """
     if prices.m != battery.m:
         raise LengthMismatch(f"{prices.m} prices for a {battery.m}-slot battery")
-    ones = np.full((1, battery.m), delta)
-    problem = lp.LpProblem(
-        objective=prices.prices * delta,
-        a_in=np.vstack([ones, -ones]),
-        b_in=np.array([battery.e_high, -battery.e_low]),
-        lower=battery.p_low, upper=battery.p_high,
-        name="arbitrage",
-    )
-    sol = lp.solve_lp(problem)
-    if sol.status != lp.OPTIMAL:
-        raise EmptyBattery(f"arbitrage LP terminated {sol.status}")
-    z = sol.x
-    return ArbitrageResult(z=z, cost=float(prices.prices @ z * delta))
+    delta = float(delta)
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValidationError(f"slot length must be finite and positive, got {delta}")
+    lo, hi, p = battery.p_low, battery.p_high, prices.prices
+    tol = 1e-9 * max(1.0, abs(battery.e_low), abs(battery.e_high))
+    if delta * lo.sum() > battery.e_high + tol or delta * hi.sum() < battery.e_low - tol:
+        raise EmptyBattery(
+            f"energy interval [{battery.e_low}, {battery.e_high}] kWh out of reach "
+            f"of the power bounds at slot length {delta}")
+    room = np.maximum(hi - lo, 0.0)
+    need = battery.e_low / delta - lo.sum()      # summed power to add, at least
+    cap = battery.e_high / delta - lo.sum()      # summed power to add, at most
+    added = min(max(room[p < 0].sum(), need), cap)
+    # an interval missed by less than tol leaves z at p_low or at p_high
+    added = min(max(added, 0.0), room.sum())
+    order = np.argsort(p, kind="stable")
+    room_sorted = room[order]
+    before = np.concatenate(([0.0], np.cumsum(room_sorted)[:-1]))
+    z = lo.copy()
+    z[order] += np.clip(added - before, 0.0, room_sorted)
+    return ArbitrageResult(z=z, cost=float(p @ z * delta))
 
 
 def baseline_immediate(fleet: Fleet, target_total_energy: float) -> np.ndarray:
@@ -265,16 +282,21 @@ def run_pipeline(fleet: Fleet, prices: PriceSeries, config: AggregateConfig,
 
 
 def _workers_default() -> int:
+    raw = os.environ.get("FLEX_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("FLEX_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValidationError(f"FLEX_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _config_from_args(args) -> AggregateConfig:
+    workers = _workers_default() if args.workers is None else args.workers
     return AggregateConfig(
         group_size=args.group_size, fanout=args.fanout, policy=args.policy,
-        seed=args.seed, workers=args.workers)
+        seed=args.seed, workers=workers)
 
 
 def _add_aggregate_knobs(parser, seed_default=None):
@@ -283,7 +305,8 @@ def _add_aggregate_knobs(parser, seed_default=None):
     parser.add_argument("--policy", choices=("random", "window-sorted"),
                         default="window-sorted")
     parser.add_argument("--seed", type=int, default=seed_default)
-    parser.add_argument("--workers", type=int, default=_workers_default())
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker-pool width (default: FLEX_WORKERS, else 1)")
     parser.add_argument("--with-certificate", action="store_true",
                         help="include multiplier matrices in tree.json")
     parser.add_argument("--dump-lp", metavar="DIR", default=None,
@@ -349,10 +372,11 @@ def _cmd_gen_fleet(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
+    config = _config_from_args(args)
     if args.dump_lp:
         lp.set_dump_dir(args.dump_lp)
     fleet = load_fleet(args.fleet)
-    tree = aggregate(fleet, _config_from_args(args))
+    tree = aggregate(fleet, config)
     save_tree(tree, args.out, args.with_certificate)
     save_battery(tree.battery, args.battery)
     print(f"wrote {args.out} and {args.battery} "
@@ -424,6 +448,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    config = _config_from_args(args)
     if args.dump_lp:
         lp.set_dump_dir(args.dump_lp)
     fleet = generate_fleet(args.n, args.m, args.seed)
@@ -435,7 +460,7 @@ def _cmd_demo(args) -> int:
         writer.writerow(["slot", "price"])
         for t, v in enumerate(prices.prices * 1e3, start=1):
             writer.writerow([t, f"{v:.6f}"])
-    report = run_pipeline(fleet, prices, _config_from_args(args), args.outdir,
+    report = run_pipeline(fleet, prices, config, args.outdir,
                           with_certificates=args.with_certificate)
     green = report["verification"]["green"]
     print(f"demo report: cost {report['arbitrage']['cost_usd']:.2f} $ vs "

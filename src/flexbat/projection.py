@@ -29,6 +29,9 @@ from .geometry import Homothet, HPolytope, VirtualBattery, battery_to_hpolytope
 S_MAX = 1e9    # upper guard on the inverse scale
 S_MIN = 1e-7   # below this the homothet is reported degenerate, not huge
 APP_TOL = 1e-9
+# largest certificate residual (G >= 0, G F = B [I; W], G H <= B [r; -V] + s c)
+# accepted from a solved APP LP; solves on benchmark fleets stay below 1e-12
+CERTIFICATE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -504,7 +507,10 @@ def solve_app(lifted: LiftedPolytope, nominal: HPolytope,
 
     The APP LP is solved by interior point with crossover: on these
     large, sparse LPs it is two to four times faster than simplex and
-    still returns a vertex, so the certificate G stays sparse.
+    still returns a vertex, so the certificate G stays sparse. The
+    certificate is checked against the LP data instead of trusting the
+    solver's status; a residual above CERTIFICATE_TOL raises
+    EmptyOrDegenerate, so the caller's fallback ladder takes over.
     """
     lp.dump_text("lifted", "txt", lambda: _format_lifted(lifted))
     problem = build_app(lifted, nominal)
@@ -516,7 +522,11 @@ def solve_app(lifted: LiftedPolytope, nominal: HPolytope,
     r = x[1 + n * k:1 + n * k + m]
     w = x[1 + n * k + m:1 + n * k + m + mt * m].reshape(mt, m)
     v = x[1 + n * k + m + mt * m:]
-    return AppSolution(s=s, r=r, w=w, v=v, g=np.maximum(g, 0.0))
+    app = AppSolution(s=s, r=r, w=w, v=v, g=np.maximum(g, 0.0))
+    residuals = app.residuals(lifted, nominal)
+    if max(residuals.values()) > CERTIFICATE_TOL:
+        raise EmptyOrDegenerate(f"app: certificate check failed, residuals {residuals}")
+    return app
 
 
 def solve_opp3(lifted: LiftedPolytope, nominal: HPolytope,

@@ -4,8 +4,12 @@ from itertools import combinations
 
 import numpy as np
 
+from flexbat import lp
+from flexbat.cli import ArbitrageResult, PriceSeries
+from flexbat.errors import EmptyBattery
 from flexbat.fleet import ChargingTask, Fleet
-from flexbat.geometry import HPolytope, contains_point, support_function
+from flexbat.geometry import (HPolytope, VirtualBattery, contains_point,
+                              support_function)
 
 
 def bounding_box(poly: HPolytope) -> tuple[np.ndarray, np.ndarray]:
@@ -105,3 +109,20 @@ def fleet_order_schedule(fleet: Fleet, task_ids, schedule: np.ndarray) -> np.nda
     for tid, row in zip(task_ids, schedule):
         out[order[tid]] = row
     return out
+
+
+def arbitrage_lp(battery: VirtualBattery, prices: PriceSeries,
+                 delta: float = 1.0) -> ArbitrageResult:
+    """Reference for `arbitrage`: minimize price . z over the battery by LP."""
+    ones = np.full((1, battery.m), delta)
+    problem = lp.LpProblem(
+        objective=prices.prices * delta,
+        a_in=np.vstack([ones, -ones]),
+        b_in=np.array([battery.e_high, -battery.e_low]),
+        lower=battery.p_low, upper=battery.p_high,
+        name="arbitrage",
+    )
+    sol = lp.solve_lp(problem)
+    if sol.status != lp.OPTIMAL:
+        raise EmptyBattery(f"arbitrage LP terminated {sol.status}")
+    return ArbitrageResult(z=sol.x, cost=float(prices.prices @ sol.x * delta))

@@ -4,12 +4,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from _helpers import arbitrage_lp
 from flexbat.aggregation import AggregateConfig
 from flexbat.cli import (arbitrage, baseline_immediate, demo_price_curve,
                          load_prices, main, read_profile, run_pipeline,
                          write_profile)
-from flexbat.errors import LengthMismatch, ParseError, TargetOutOfRange
+from flexbat.errors import (EmptyBattery, LengthMismatch, ParseError,
+                            TargetOutOfRange, ValidationError)
 from flexbat.fleet import ChargingTask, Fleet, generate_fleet, save_fleet
 from flexbat.geometry import VirtualBattery
 from flexbat.cli import PriceSeries
@@ -92,6 +96,71 @@ def test_arbitrage_rides_the_bounds():
             seen_interior = True
         else:
             assert not seen_interior, "cheap slot left unsaturated"
+
+
+def test_arbitrage_tied_prices_fill_in_slot_order():
+    b = VirtualBattery([0.0] * 3, [1.0] * 3, 1.5, 3.0)
+    res = arbitrage(b, PriceSeries(np.full(3, 0.05)))
+    np.testing.assert_array_equal(res.z, [1.0, 0.5, 0.0])
+
+
+def test_arbitrage_rejects_bad_slot_length():
+    b = VirtualBattery([0.0], [1.0], 0.0, 1.0)
+    for delta in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            arbitrage(b, PriceSeries(np.array([1.0])), delta)
+
+
+def test_arbitrage_unreachable_energy_raises_empty_battery():
+    """The battery is consistent at one-hour slots, but at 15 minutes the
+    power bounds cannot deliver the energy floor (or stay under the ceiling)."""
+    prices = PriceSeries(np.array([1.0, 2.0]))
+    with pytest.raises(EmptyBattery):
+        arbitrage(VirtualBattery([0.0, 0.0], [1.0, 1.0], 1.0, 2.0), prices, 0.25)
+    with pytest.raises(EmptyBattery):
+        arbitrage(VirtualBattery([1.0, 1.0], [2.0, 2.0], 2.0, 3.0), prices, 2.0)
+
+
+_LEVELS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])   # ties and zero prices
+
+
+@st.composite
+def arbitrage_cases(draw):
+    """A battery, a price series and a slot length, with negative, zero and
+    tied prices, pinned slots, energy intervals that bind or not and
+    zero-width energy intervals."""
+    m = draw(st.integers(1, 8))
+    delta = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    floats = st.floats(-2.0, 2.0, allow_subnormal=False)
+    prices = draw(st.lists(st.one_of(_LEVELS, floats), min_size=m, max_size=m))
+    lo = np.array(draw(st.lists(floats, min_size=m, max_size=m)))
+    width = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+                          min_size=m, max_size=m))
+    hi = lo + np.array(width)
+    e_min, e_max = delta * lo.sum(), delta * hi.sum()
+    t_low = draw(st.floats(-0.2, 1.2))
+    t_high = t_low if draw(st.booleans()) else draw(st.floats(t_low, 1.4))
+    e_low = min(e_min + t_low * (e_max - e_min), e_max)
+    e_high = max(e_min + t_high * (e_max - e_min), e_min, e_low)
+    try:
+        battery = VirtualBattery(lo, hi, e_low, e_high)
+    except ValueError:
+        # the constructor checks the energy interval at one-hour slots
+        assume(False)
+    return battery, PriceSeries(np.array(prices)), delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(arbitrage_cases())
+def test_arbitrage_matches_lp_reference(case):
+    battery, prices, delta = case
+    res = arbitrage(battery, prices, delta)
+    ref = arbitrage_lp(battery, prices, delta)
+    assert abs(res.cost - ref.cost) <= 1e-9 * max(1.0, abs(ref.cost))
+    assert np.all(res.z >= battery.p_low - 1e-9)
+    assert np.all(res.z <= battery.p_high + 1e-9)
+    energy = delta * res.z.sum()
+    assert battery.e_low - 1e-9 <= energy <= battery.e_high + 1e-9
 
 
 # ----------------------------------------------------------------- baseline
@@ -279,3 +348,28 @@ def test_cli_demo_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((outdir / "report.json").read_text())
     assert report["verification"]["green"]
+
+
+def test_cli_arbitrage_zero_delta_exits_2(tmp_path, capsys):
+    batt_path = tmp_path / "battery.json"
+    batt_path.write_text(json.dumps(
+        VirtualBattery([0.0, 0.0], [1.0, 1.0], 0.5, 1.5).to_dict()))
+    prices_path = tmp_path / "lmp.csv"
+    write_prices(prices_path, [30.0, 20.0])
+    assert main(["arbitrage", "--battery", str(batt_path), "--prices",
+                 str(prices_path), "--delta", "0",
+                 "--out-profile", str(tmp_path / "profile.csv")]) == 2
+    assert "slot length" in capsys.readouterr().err
+    assert not (tmp_path / "profile.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_cli_rejects_bad_flex_workers(tmp_path, monkeypatch, capsys, value):
+    fleet_path = tmp_path / "fleet.json"
+    save_fleet(generate_fleet(4, 24, seed=1), fleet_path)
+    monkeypatch.setenv("FLEX_WORKERS", value)
+    assert main(["aggregate", "--fleet", str(fleet_path),
+                 "--out", str(tmp_path / "tree.json"),
+                 "--battery", str(tmp_path / "battery.json")]) == 2
+    assert "FLEX_WORKERS" in capsys.readouterr().err
+    assert not (tmp_path / "tree.json").exists()

@@ -352,3 +352,20 @@ def test_app_ipm_failure_resolved_by_simplex(monkeypatch):
     with pytest.raises(EmptyOrDegenerate, match="infeasible"):
         solve_app(lifted, nominal)
     assert methods == [lp.IPM, lp.SIMPLEX]
+
+
+def test_app_certificate_checked_after_solve(monkeypatch):
+    """A solver answer whose certificate does not hold is rejected as
+    EmptyOrDegenerate (so the fallback ladder runs), whatever its status."""
+    nominal = battery_to_hpolytope(EX1_NOMINAL)
+    real = lp.solve_lp
+
+    def perturbed(problem, **kwargs):
+        sol = real(problem, **kwargs)
+        x = sol.x.copy()
+        x[1] += 1e-3          # first entry of G
+        return replace(sol, x=x)
+
+    monkeypatch.setattr(lp, "solve_lp", perturbed)
+    with pytest.raises(EmptyOrDegenerate, match="certificate"):
+        solve_app(EX1_LIFTED, nominal)

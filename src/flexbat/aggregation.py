@@ -17,6 +17,7 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -134,6 +135,11 @@ class AggregationTree:
 
         walk(self.root)
         return out
+
+    @cached_property
+    def _dispatch_plan(self) -> "_DispatchPlan":
+        """Index plan `dispatch` walks; built on first use, never saved."""
+        return _compile(self)
 
 
 def partition_fleet(fleet: Fleet, group_size: int, policy: str = "window-sorted",
@@ -374,69 +380,146 @@ class DispatchResult:
     clamped: tuple[tuple[str, int, float], ...]
 
 
-def _embed(values: np.ndarray, coords: Sequence[int], m: int) -> np.ndarray:
-    out = np.zeros(m)
-    for k, t in enumerate(coords):
-        out[t - 1] = values[k]
-    return out
+@dataclass(frozen=True)
+class _CohortStep:
+    """A cohort node's split: child z = ratio * (z - mu) + child mu."""
+
+    label: str
+    cols: np.ndarray                   # node coords as 0-based slots
+    mu: np.ndarray
+    children: tuple[tuple[float, np.ndarray, "_Step"], ...]
+
+
+@dataclass(frozen=True)
+class _AppStep:
+    """An app node's split as index arrays over its flat unit entries
+    (unit-major, slot-ascending, as in `EliminationMap.gather_plan`)."""
+
+    label: str
+    cols: np.ndarray                   # node coords as 0-based slots
+    node: AppNode
+    lo: np.ndarray                     # concatenated unit bounds
+    hi: np.ndarray
+    entry_unit: tuple[int, ...]        # unit index of each entry
+    entry_slot: tuple[int, ...]        # global slot of each entry
+    leaf_src: np.ndarray               # entries that are leaf schedule cells
+    leaf_dest: np.ndarray              # their flat index into the N x m schedule
+    inner: tuple[tuple[int, np.ndarray, "_Step"], ...]   # (unit, gather, child)
+
+
+_Step = Union[_AppStep, _CohortStep]
+
+
+@dataclass(frozen=True)
+class _DispatchPlan:
+    task_ids: tuple[str, ...]
+    root: _Step
+    off_span: np.ndarray               # slots outside the root's coords
+
+
+def _compile_step(node: TreeNode, m: int, row_of: dict[str, int]) -> _Step:
+    cols = np.asarray(node.coords, dtype=np.intp) - 1
+    if isinstance(node, CohortNode):
+        lam = node.lam
+        return _CohortStep(node.label, cols, node.mu, tuple(
+            (child.lam / lam, child.mu, _compile_step(child, m, row_of))
+            for child in node.children))
+    starts = np.concatenate([[0], np.cumsum([len(un.active) for un in node.units])])
+    leaf_src: list[int] = []
+    leaf_dest: list[int] = []
+    inner = []
+    for i, (child, unit) in enumerate(zip(node.children, node.units)):
+        entries = range(starts[i], starts[i + 1])
+        if isinstance(child, Leaf):
+            row = row_of[child.task_id]
+            leaf_src.extend(entries)
+            leaf_dest.extend(row * m + t - 1 for t in unit.active)
+        else:
+            # slots of the child's span that the unit does not draw in read
+            # the 0.0 appended after the last entry
+            at = dict(zip(unit.active, entries))
+            gather = np.array([at.get(t, starts[-1]) for t in child.coords], dtype=np.intp)
+            inner.append((i, gather, _compile_step(child, m, row_of)))
+    return _AppStep(
+        label=node.label, cols=cols, node=node,
+        lo=np.concatenate([un.lo for un in node.units]),
+        hi=np.concatenate([un.hi for un in node.units]),
+        entry_unit=tuple(i for i, un in enumerate(node.units) for _ in un.active),
+        entry_slot=tuple(t for un in node.units for t in un.active),
+        leaf_src=np.asarray(leaf_src, dtype=np.intp),
+        leaf_dest=np.asarray(leaf_dest, dtype=np.intp),
+        inner=tuple(inner))
+
+
+def _compile(tree: AggregationTree) -> _DispatchPlan:
+    ids = tuple(tree.leaf_ids())
+    root = _compile_step(tree.root, tree.m, {tid: k for k, tid in enumerate(ids)})
+    off = np.ones(tree.m, dtype=bool)
+    off[root.cols] = False
+    return _DispatchPlan(task_ids=ids, root=root, off_span=off)
 
 
 def dispatch(tree: AggregationTree, u: np.ndarray, tol: float = 1e-6) -> DispatchResult:
     """Split a battery-feasible aggregate profile into per-task schedules.
 
     Violations up to `tol` (solver noise) are clamped onto the admissible
-    bounds and recorded; anything larger raises, since the tree's
-    certificates should make it impossible.
+    bounds and recorded in `clamped`, in walk order: depth first, a unit's
+    own entries before those of its subtree. Anything larger raises, since
+    the tree's certificates should make it impossible. The walk runs on an
+    index plan compiled from the tree on its first dispatch and cached on
+    the tree object (never saved with it).
     """
     u = np.asarray(u, dtype=float).ravel()
     if u.size != tree.m:
         raise NotInBattery(f"profile length {u.size} vs horizon {tree.m}")
     if not tree.battery.contains(u, delta=tree.delta, tol=tol):
         raise NotInBattery("profile is not inside the root battery")
-    rows: dict[str, np.ndarray] = {}
+    if isinstance(tree.root, Leaf):
+        raise ValidationError("tree has no aggregation node")
+    plan = tree._dispatch_plan
+    if np.any(np.abs(u[plan.off_span]) > tol):
+        raise NotInBattery("profile draws power outside the aggregated span")
+    m = tree.m
+    flat = np.zeros(len(plan.task_ids) * m)
     profiles: dict[str, np.ndarray] = {}
     clamp_log: list[tuple[str, int, float]] = []
 
-    def clamp(label: str, active: Sequence[int], values: np.ndarray,
-              lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        out = np.clip(values, lo, hi)
-        moved = np.abs(out - values)
-        for k in np.where(moved > 0)[0]:
-            if moved[k] > tol:
-                raise DispatchInfeasible(
-                    f"{label}: slot {active[k]} violates bounds by {moved[k]:.3e}")
-            clamp_log.append((label, int(active[k]), float(moved[k])))
-        return out
+    def log_clamp(step: _AppStep, e: int, moved: np.ndarray) -> None:
+        label = step.node.units[step.entry_unit[e]].origin
+        slot = step.entry_slot[e]
+        if moved[e] > tol:
+            raise DispatchInfeasible(
+                f"{label}: slot {slot} violates bounds by {moved[e]:.3e}")
+        clamp_log.append((label, slot, float(moved[e])))
 
-    def walk(node: TreeNode, z: np.ndarray) -> None:
-        profiles[node.label] = _embed(z, node.coords, tree.m)
-        if isinstance(node, CohortNode):
-            lam, mu = node.lam, node.mu
-            for child in node.children:
-                walk(child, (child.lam / lam) * (z - mu) + child.mu)
+    def walk(step: _Step, z: np.ndarray) -> None:
+        profile = np.zeros(m)
+        profile[step.cols] = z
+        profiles[step.label] = profile
+        if isinstance(step, _CohortStep):
+            for ratio, mu, child in step.children:
+                walk(child, ratio * (z - step.mu) + mu)
             return
-        utilde = node.app.rule_apply(z)
-        parts = node.elim.reconstruct(z, utilde)
-        for child, unit, part in zip(node.children, node.units, parts):
-            part = clamp(unit.origin, unit.active, part, unit.lo, unit.hi)
-            if isinstance(child, Leaf):
-                rows[child.task_id] = _embed(part, unit.active, tree.m)
-            else:
-                z_child = _embed(part, unit.active, tree.m)[np.asarray(child.coords) - 1]
-                walk(child, z_child)
+        node = step.node
+        values = node.elim.reconstruct_flat(z, node.app.rule_apply(z))
+        out = values.clip(step.lo, step.hi)
+        moved = np.abs(out - values)
+        hits = (moved > 0).nonzero()[0].tolist()
+        flat[step.leaf_dest] = out[step.leaf_src]
+        if step.inner:
+            padded = np.append(out, 0.0)
+            h = 0
+            for i, gather, child in step.inner:
+                while h < len(hits) and step.entry_unit[hits[h]] <= i:
+                    log_clamp(step, hits[h], moved)
+                    h += 1
+                walk(child, padded[gather])
+            hits = hits[h:]
+        for e in hits:
+            log_clamp(step, e, moved)
 
-    root = tree.root
-    if isinstance(root, Leaf):
-        raise ValidationError("tree has no aggregation node")
-    z_root = u[np.asarray(root.coords) - 1]
-    off = np.ones(tree.m, dtype=bool)
-    off[np.asarray(root.coords) - 1] = False
-    if np.any(np.abs(u[off]) > tol):
-        raise NotInBattery("profile draws power outside the aggregated span")
-    walk(root, z_root)
-    ids = tuple(tree.leaf_ids())
-    schedule = np.vstack([rows[tid] for tid in ids])
-    return DispatchResult(task_ids=ids, schedule=schedule,
+    walk(plan.root, u[plan.root.cols])
+    return DispatchResult(task_ids=plan.task_ids, schedule=flat.reshape(-1, m),
                           group_profiles=profiles, clamped=tuple(clamp_log))
 
 

@@ -32,6 +32,7 @@ APP_TOL = 1e-9
 # largest certificate residual (G >= 0, G F = B [I; W], G H <= B [r; -V] + s c)
 # accepted from a solved APP LP; solves on benchmark fleets stay below 1e-12
 CERTIFICATE_TOL = 1e-6
+_PAD_ZERO = np.zeros(1)   # the 0.0 that padded `gather_plan` indices point at
 
 
 @dataclass(frozen=True)
@@ -140,23 +141,47 @@ class EliminationMap:
     def utilde_index(self) -> dict[tuple[int, int], int]:
         return {pair: q for q, pair in enumerate(self.utilde)}
 
-    def reconstruct(self, z: np.ndarray, utilde_vals: np.ndarray) -> list[np.ndarray]:
-        """Per-unit profiles over each unit's active slots from (u, u_tilde)."""
-        out = []
+    @cached_property
+    def gather_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index form of `reconstruct` over x = [z; u_tilde; 0.0].
+
+        Entries run unit-major, slot-ascending. `base[e]` is the x index an
+        entry starts from. Row c of `subs` is the c-th u_tilde column each
+        eliminated entry subtracts (the others in `n_t` order), padded with
+        the index of the trailing 0.0, so subtracting row by row repeats
+        the scalar sequence bit for bit. `splits` cut the entries per unit.
+        """
+        m, pad = self.m, self.m + self.m_tilde
+        base: list[int] = []
+        subs: list[list[int]] = []
         for i, active in enumerate(self.unit_active):
-            row = np.empty(len(active))
-            for k, t in enumerate(active):
+            for t in active:
                 tk = self.coord_index[t]
                 if self.j_t[tk] == i:
-                    val = z[tk]
-                    for other in self.n_t[tk]:
-                        if other != i:
-                            val -= utilde_vals[self.utilde_index[(other, t)]]
-                    row[k] = val
+                    base.append(tk)
+                    subs.append([m + self.utilde_index[(other, t)]
+                                 for other in self.n_t[tk] if other != i])
                 else:
-                    row[k] = utilde_vals[self.utilde_index[(i, t)]]
-            out.append(row)
-        return out
+                    base.append(m + self.utilde_index[(i, t)])
+                    subs.append([])
+        sub_idx = np.full((max(map(len, subs), default=0), len(base)), pad, dtype=np.intp)
+        for e, cols in enumerate(subs):
+            sub_idx[:len(cols), e] = cols
+        splits = np.cumsum([len(active) for active in self.unit_active])[:-1]
+        return np.asarray(base, dtype=np.intp), sub_idx, splits
+
+    def reconstruct_flat(self, z: np.ndarray, utilde_vals: np.ndarray) -> np.ndarray:
+        """All units' profiles from (u, u_tilde), concatenated unit-major."""
+        base, subs, _ = self.gather_plan
+        x = np.concatenate([z, utilde_vals, _PAD_ZERO])
+        val = x[base]
+        for cols in subs:
+            val = val - x[cols]
+        return val
+
+    def reconstruct(self, z: np.ndarray, utilde_vals: np.ndarray) -> list[np.ndarray]:
+        """Per-unit profiles over each unit's active slots from (u, u_tilde)."""
+        return np.split(self.reconstruct_flat(z, utilde_vals), self.gather_plan[2])
 
     def to_dict(self) -> dict:
         return {

@@ -5,8 +5,11 @@ from itertools import combinations
 import numpy as np
 
 from flexbat import lp
+from flexbat.aggregation import (AggregationTree, CohortNode, DispatchResult,
+                                 Leaf)
 from flexbat.cli import ArbitrageResult, PriceSeries
-from flexbat.errors import EmptyBattery
+from flexbat.errors import (DispatchInfeasible, EmptyBattery, NotInBattery,
+                            ValidationError)
 from flexbat.fleet import ChargingTask, Fleet
 from flexbat.geometry import (HPolytope, VirtualBattery, contains_point,
                               support_function)
@@ -126,3 +129,83 @@ def arbitrage_lp(battery: VirtualBattery, prices: PriceSeries,
     if sol.status != lp.OPTIMAL:
         raise EmptyBattery(f"arbitrage LP terminated {sol.status}")
     return ArbitrageResult(z=sol.x, cost=float(prices.prices @ sol.x * delta))
+
+
+def reconstruct_reference(elim, z: np.ndarray, utilde_vals: np.ndarray) -> list[np.ndarray]:
+    """Reference for `EliminationMap.reconstruct`: one scalar per (unit, slot)."""
+    out = []
+    for i, active in enumerate(elim.unit_active):
+        row = np.empty(len(active))
+        for k, t in enumerate(active):
+            tk = elim.coord_index[t]
+            if elim.j_t[tk] == i:
+                val = z[tk]
+                for other in elim.n_t[tk]:
+                    if other != i:
+                        val -= utilde_vals[elim.utilde_index[(other, t)]]
+                row[k] = val
+            else:
+                row[k] = utilde_vals[elim.utilde_index[(i, t)]]
+        out.append(row)
+    return out
+
+
+def _embed(values: np.ndarray, coords, m: int) -> np.ndarray:
+    out = np.zeros(m)
+    for k, t in enumerate(coords):
+        out[t - 1] = values[k]
+    return out
+
+
+def dispatch_reference(tree: AggregationTree, u: np.ndarray,
+                       tol: float = 1e-6) -> DispatchResult:
+    """Reference for `dispatch`: the tree walked node by node, unit by unit."""
+    u = np.asarray(u, dtype=float).ravel()
+    if u.size != tree.m:
+        raise NotInBattery(f"profile length {u.size} vs horizon {tree.m}")
+    if not tree.battery.contains(u, delta=tree.delta, tol=tol):
+        raise NotInBattery("profile is not inside the root battery")
+    rows: dict[str, np.ndarray] = {}
+    profiles: dict[str, np.ndarray] = {}
+    clamp_log: list[tuple[str, int, float]] = []
+
+    def clamp(label, active, values, lo, hi):
+        out = np.clip(values, lo, hi)
+        moved = np.abs(out - values)
+        for k in np.where(moved > 0)[0]:
+            if moved[k] > tol:
+                raise DispatchInfeasible(
+                    f"{label}: slot {active[k]} violates bounds by {moved[k]:.3e}")
+            clamp_log.append((label, int(active[k]), float(moved[k])))
+        return out
+
+    def walk(node, z):
+        profiles[node.label] = _embed(z, node.coords, tree.m)
+        if isinstance(node, CohortNode):
+            lam, mu = node.lam, node.mu
+            for child in node.children:
+                walk(child, (child.lam / lam) * (z - mu) + child.mu)
+            return
+        utilde = node.app.rule_apply(z)
+        parts = reconstruct_reference(node.elim, z, utilde)
+        for child, unit, part in zip(node.children, node.units, parts):
+            part = clamp(unit.origin, unit.active, part, unit.lo, unit.hi)
+            if isinstance(child, Leaf):
+                rows[child.task_id] = _embed(part, unit.active, tree.m)
+            else:
+                z_child = _embed(part, unit.active, tree.m)[np.asarray(child.coords) - 1]
+                walk(child, z_child)
+
+    root = tree.root
+    if isinstance(root, Leaf):
+        raise ValidationError("tree has no aggregation node")
+    z_root = u[np.asarray(root.coords) - 1]
+    off = np.ones(tree.m, dtype=bool)
+    off[np.asarray(root.coords) - 1] = False
+    if np.any(np.abs(u[off]) > tol):
+        raise NotInBattery("profile draws power outside the aggregated span")
+    walk(root, z_root)
+    ids = tuple(tree.leaf_ids())
+    schedule = np.vstack([rows[tid] for tid in ids])
+    return DispatchResult(task_ids=ids, schedule=schedule,
+                          group_profiles=profiles, clamped=tuple(clamp_log))

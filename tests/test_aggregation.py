@@ -1,19 +1,29 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from _helpers import fleet_order_schedule
-from flexbat.aggregation import (AggregateConfig, AppNode, CohortNode,
-                                 aggregate, bounds_report, dispatch,
-                                 load_tree, nominal_for_group,
+from _helpers import dispatch_reference, fleet_order_schedule
+from flexbat import aggregation
+from flexbat.aggregation import (AggregateConfig, AggregationTree, AppNode,
+                                 CohortNode, Leaf, aggregate, bounds_report,
+                                 dispatch, load_tree, nominal_for_group,
                                  partition_fleet, save_tree,
                                  synthesize_battery, tree_from_dict,
                                  tree_to_dict)
-from flexbat.errors import EmptyOrDegenerate, NotInBattery, ValidationError
+from flexbat.cli import (PriceSeries, arbitrage, demo_price_curve, main,
+                         save_battery)
+from flexbat.errors import (DispatchInfeasible, EmptyOrDegenerate, FlexError,
+                            NotInBattery, ValidationError)
 from flexbat.fleet import ChargingTask, Fleet, generate_fleet
 from flexbat.geometry import VirtualBattery
 from flexbat.oracle import adequacy_lp, validate_schedule
 from flexbat.projection import solve_app
-from flexbat.sampling import battery_interior_point, sample_battery
+from flexbat.sampling import (battery_interior_point, greedy_profile,
+                              sample_battery)
 
 
 def identical_fleet(n, m=4, a=1, d=4, p=1.0, e_low=1.2, e_high=2.4):
@@ -246,7 +256,6 @@ def test_dispatch_single_task_identity():
 def test_dispatch_energy_floor_profile():
     fleet = generate_fleet(20, 24, seed=5)
     tree = aggregate(fleet, AggregateConfig(group_size=5, fanout=4))
-    from flexbat.sampling import greedy_profile
     u = greedy_profile(tree.battery, tree.battery.e_low, order="late")
     result = dispatch(tree, u)
     ordered = fleet_order_schedule(fleet, result.task_ids, result.schedule)
@@ -282,6 +291,175 @@ def test_dispatch_group_profiles_sum_to_input():
     np.testing.assert_allclose(result.schedule.sum(axis=0), u, atol=1e-8)
     root_label = tree.root.label
     np.testing.assert_allclose(result.group_profiles[root_label], u, atol=1e-12)
+
+
+def _nodes(node):
+    if not isinstance(node, Leaf):
+        yield node
+        for child in node.children:
+            yield from _nodes(child)
+
+
+def _dispatch_outcome(fn, tree, u, tol):
+    """Everything a dispatch returns as bytes, or the error it raises."""
+    try:
+        res = fn(tree, u, tol=tol)
+    except FlexError as exc:
+        return type(exc), str(exc)
+    return (res.task_ids, res.schedule.tobytes(), res.clamped,
+            [(label, p.tobytes()) for label, p in res.group_profiles.items()])
+
+
+@st.composite
+def _mixed_fleets(draw):
+    """A fleet whose tree has a cohort, a later-stage node, singleton nodes
+    and a battery unit that drops a zero-pinned slot of its node's span.
+
+    Window-sorted groups of `g`, in this order: the group arriving at slot 1
+    is the one forced to singletons; two groups of identical tasks over
+    (2, m) share a span and a nominal, so they merge into a cohort; zero or
+    one group of random tasks; last, a group that leaves slot m - 2 of its
+    span uncovered, so its battery is pinned to zero there."""
+    m = draw(st.integers(8, 10))
+    g = draw(st.integers(2, 3))
+    rate = st.floats(0.5, 3.0)
+    frac = st.floats(0.1, 0.9)
+
+    def task(tid, a, d, p=None):
+        p = draw(rate) if p is None else p
+        lo, hi = sorted((draw(frac), draw(frac)))
+        cap = (d - a + 1) * p
+        return ChargingTask(tid, a, d, p, lo * cap, hi * cap)
+
+    tasks = [task(f"a{k}", 1, draw(st.integers(2, 3))) for k in range(g)]
+    twin = task("b", 2, m)
+    tasks += [dataclasses.replace(twin, id=f"b{k}") for k in range(2 * g)]
+    for k in range(g * draw(st.integers(0, 1))):
+        a = draw(st.integers(3, m - 5))
+        tasks.append(task(f"c{k}", a, draw(st.integers(a + 1, m))))
+    tasks += [task(f"d{k}", m - 4, m - 3) for k in range(g - 1)]
+    tasks.append(task("e", m - 1, m))
+    return Fleet(m=m, tasks=tuple(tasks)), g
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mixed_fleets(), st.integers(2, 3), st.integers(0, 2**16))
+def test_dispatch_matches_reference_walk(fleet_and_g, fanout, seed):
+    """The compiled plan gives the reference walk's bytes: schedule, task
+    order, every group profile, and the clamp log in order; and the same
+    error, message included, when nothing may be clamped (tol = 0)."""
+    fleet, g = fleet_and_g
+    failed = []
+
+    def first_group_fails(lifted, nominal):
+        # the first two multi-unit solves are group s1g000's shared nominal
+        # and its fallback nominal, so that group splits into singletons
+        if lifted.elim.n_units > 1 and len(failed) < 2:
+            failed.append(nominal)
+            raise EmptyOrDegenerate("forced")
+        return solve_app(lifted, nominal)
+
+    with mock.patch.object(aggregation, "solve_app", first_group_fails):
+        tree = aggregate(fleet, AggregateConfig(group_size=g, fanout=fanout))
+    nodes = list(_nodes(tree.root))
+    assert any(isinstance(nd, CohortNode) for nd in nodes)
+    assert any(isinstance(nd, AppNode) and not nd.label.startswith("s1")
+               for nd in nodes)
+    assert any(".solo" in nd.label for nd in nodes)
+    assert any(set(child.coords) - set(unit.active)
+               for nd in nodes if isinstance(nd, AppNode)
+               for child, unit in zip(nd.children, nd.units)
+               if not isinstance(child, Leaf))
+
+    batt = tree.battery
+    rng = np.random.default_rng(seed)
+    prices = demo_price_curve(fleet.m).prices
+    noisy = PriceSeries(prices * (1 + 0.3 * rng.standard_normal(fleet.m)))
+    profiles = [*sample_battery(batt, 4, seed=seed),
+                greedy_profile(batt, batt.e_low, order="late"),
+                greedy_profile(batt, batt.e_high, order="early"),
+                arbitrage(batt, noisy).z]
+    for u in profiles:
+        for tol in (1e-6, 0.0):
+            assert (_dispatch_outcome(dispatch, tree, u, tol)
+                    == _dispatch_outcome(dispatch_reference, tree, u, tol))
+
+
+def _saturated_leaf(tree, fleet, u):
+    """A task the dispatch of `u` drives to its full rate, with its row."""
+    res = dispatch(tree, u)
+    rates = {t.id: t.p for t in fleet.tasks}
+    for tid, row in zip(res.task_ids, res.schedule):
+        if np.any(np.abs(row - rates[tid]) <= 1e-9):
+            return tid, row
+    raise AssertionError("no task reaches its full rate")
+
+
+def test_dispatch_infeasible_names_unit_and_slot(tmp_path, capsys):
+    """A leaf unit narrowed by 1e-3 in a saved tree cannot take the power
+    the certificates route to it: dispatch raises and names unit and slot."""
+    fleet = generate_fleet(8, 12, seed=4)
+    tree = aggregate(fleet, AggregateConfig(group_size=4, fanout=3))
+    u = greedy_profile(tree.battery, tree.battery.e_high, order="early")
+    tid, row = _saturated_leaf(tree, fleet, u)
+
+    d = tree_to_dict(tree)
+    unit = next(un for node in _dicts(d["root"]) if node["kind"] == "app"
+                for un in node["units"] if un["origin"] == tid)
+    unit["hi"] = [v - 1e-3 for v in unit["hi"]]
+    slot = next(t for t in unit["active"] if row[t - 1] > unit["hi"][0] + 1e-6)
+    edited = tree_from_dict(d)
+    with pytest.raises(DispatchInfeasible, match=f"^{tid}: slot {slot} violates"):
+        dispatch(edited, u)
+
+    tree_path = tmp_path / "tree.json"
+    save_tree(edited, tree_path)
+    profile_path = tmp_path / "profile.csv"
+    # full precision: write_profile rounds to 1e-6 kW, which can carry a
+    # profile on the battery's energy ceiling outside it
+    profile_path.write_text("slot,power_kw\n" + "".join(
+        f"{t},{v!r}\n" for t, v in enumerate(u.tolist(), start=1)))
+    assert main(["dispatch", "--tree", str(tree_path), "--profile",
+                 str(profile_path), "--out", str(tmp_path / "s.csv")]) == 2
+    assert f"{tid}: slot {slot} violates" in capsys.readouterr().err
+
+
+def _dicts(node):
+    yield node
+    for child in node.get("children", []):
+        yield from _dicts(child)
+
+
+def test_dispatch_plan_stays_out_of_saved_files(tmp_path):
+    """The plan is cached on the tree object only: saved files, equality
+    and a reloaded copy are the same whether or not it was built."""
+    fleet = generate_fleet(10, 12, seed=8)
+    tree = aggregate(fleet, AggregateConfig(group_size=4, fanout=3))
+    twin = dataclasses.replace(tree)
+
+    def save_all(outdir):
+        outdir.mkdir()
+        save_tree(tree, outdir / "tree.json")
+        save_tree(tree, outdir / "tree_cert.json", with_certificates=True)
+        save_battery(tree.battery, outdir / "battery.json")
+        return {p.name: p.read_bytes() for p in outdir.iterdir()}
+
+    before = save_all(tmp_path / "before")
+    u = sample_battery(tree.battery, 1, seed=2)[0]
+    result = dispatch(tree, u)
+    assert "_dispatch_plan" in vars(tree) and "_dispatch_plan" not in vars(twin)
+    assert save_all(tmp_path / "after") == before
+    assert tree == twin
+    assert [f.name for f in dataclasses.fields(AggregationTree)] == [
+        "root", "m", "delta", "battery", "n_stages", "stage1_groups",
+        "stage1_cohorts", "config"]
+
+    copy = load_tree(tmp_path / "after" / "tree.json")
+    again = dispatch(copy, u)
+    assert again.task_ids == result.task_ids
+    assert again.schedule.tobytes() == result.schedule.tobytes()
+    assert again.clamped == result.clamped
 
 
 # -------------------------------------------------------------------- trees

@@ -350,6 +350,16 @@ def test_cli_demo_subprocess(tmp_path):
     assert report["verification"]["green"]
 
 
+def test_python_m_flexbat_runs_cli_quietly():
+    """`python -m flexbat` reaches the CLI without the RuntimeWarning that
+    running the already-imported `flexbat.cli` module as a script prints."""
+    proc = subprocess.run([sys.executable, "-m", "flexbat", "--help"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "dispatch" in proc.stdout
+
+
 def test_cli_arbitrage_zero_delta_exits_2(tmp_path, capsys):
     batt_path = tmp_path / "battery.json"
     batt_path.write_text(json.dumps(

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _helpers import random_small_fleet
+from _helpers import random_small_fleet, reconstruct_reference
 from flexbat import lp
 from flexbat.errors import DimensionMismatch, EmptyOrDegenerate, EmptyUnit
 from flexbat.fleet import ChargingTask
@@ -101,6 +101,9 @@ def test_eliminate_membership_equivalence():
         back = elim.reconstruct(z, utilde)
         for prof, rec in zip(profiles, back):
             np.testing.assert_allclose(rec, prof, atol=1e-12)
+        # the index form repeats the scalar subtractions bit for bit
+        loop = reconstruct_reference(elim, z, utilde)
+        assert [r.tobytes() for r in back] == [r.tobytes() for r in loop]
 
 
 def test_eliminate_gap_slots_pinned():

@@ -8,7 +8,7 @@ oracle against which the LP-based routes are tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
@@ -19,6 +19,18 @@ from .errors import (DimensionMismatch, EmptyInner, MixedBases,
                      UnboundedDirection)
 
 _ZERO_COEF = 1e-12
+
+
+def fields_equal(self, other) -> bool:
+    """`__eq__` for dataclasses with numpy fields: arrays compare by
+    `np.array_equal`, every other field by `==`."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,8 @@ class VirtualBattery:
     p_high: np.ndarray
     e_low: float
     e_high: float
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         lo = np.asarray(self.p_low, dtype=float).ravel()

@@ -143,11 +143,9 @@ class FeasibilityResult:
         return self.feasible
 
 
-def _scipy_bounds(problem: LpProblem):
-    return [
-        (None if lo == -np.inf else lo, None if hi == np.inf else hi)
-        for lo, hi in zip(problem.lower, problem.upper)
-    ]
+def _scipy_bounds(problem: LpProblem) -> np.ndarray:
+    """(n, 2) bounds array; scipy reads -inf / +inf as no bound."""
+    return np.column_stack([problem.lower, problem.upper])
 
 
 def dump_text(name: str, suffix: str, render: Callable[[], str]) -> bool:

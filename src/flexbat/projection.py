@@ -24,9 +24,10 @@ import scipy.sparse as sp
 from . import lp
 from .errors import DimensionMismatch, EmptyOrDegenerate, EmptyUnit
 from .fleet import ChargingTask
-from .geometry import Homothet, HPolytope, VirtualBattery, battery_to_hpolytope
+from .geometry import (Homothet, HPolytope, VirtualBattery, battery_to_hpolytope,
+                       fields_equal)
 
-S_MAX = 1e9    # upper guard on the inverse scale
+S_MAX = 1e9    # s at or above S_MAX / 10 is rejected as a scale-guard hit
 S_MIN = 1e-7   # below this the homothet is reported degenerate, not huge
 APP_TOL = 1e-9
 # largest certificate residual (G >= 0, G F = B [I; W], G H <= B [r; -V] + s c)
@@ -51,6 +52,8 @@ class FlexUnit:
     e_high: float
     origin: str
     delta: float = 1.0
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         active = tuple(int(t) for t in self.active)
@@ -330,93 +333,97 @@ def eliminate(units: Sequence[FlexUnit],
                           m_tilde=m_tilde, elim=elim, delta=delta)
 
 
-def _blocks(lifted: LiftedPolytope, nominal: HPolytope):
+def _nonzero(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and place within its row of each nonzero of `a`, row-major."""
+    row, col = np.nonzero(a)
+    return row, col, np.arange(row.size) - np.searchsorted(row, row)
+
+
+def _csr(shape: tuple[int, int], blocks) -> sp.csr_matrix:
+    """CSR matrix from blocks of (row, rank, col, value) entry arrays.
+
+    Blocks come in ascending column order: in every row, one block's
+    entries precede the next block's. `rank` is an entry's place among its
+    block's entries in that row, by ascending column. The arrays of a block
+    broadcast together. Blocks hold no zero values, so the arrays are those
+    `csr_matrix` makes from the dense matrix.
+    """
+    blocks = [np.broadcast_arrays(*block) for block in blocks]
+    counts = [np.bincount(row.ravel(), minlength=shape[0]) for row, _, _, _ in blocks]
+    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+    np.cumsum(sum(counts), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    data = np.empty(indptr[-1])
+    start = indptr[:-1].copy()
+    for (row, rank, col, val), count in zip(blocks, counts):
+        at = start[row] + rank
+        indices[at] = col
+        data[at] = val
+        start += count
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+
+def _homothet_lp(lifted: LiftedPolytope, nominal: HPolytope,
+                 affine: bool) -> lp.LpProblem:
+    """LP of the homothet approximation, with the rule's W block if `affine`.
+
+    Variables (s, G, r, W, V): minimize s subject to G F = B [I; W],
+    G H <= B [r; -V] + s c, G >= 0, s >= 0. G is n x k row-major; W is
+    m_tilde x m row-major. Without W the rule is the constant V. s has no
+    upper bound: `_checked_s` rejects a huge one after the solve.
+    """
     if nominal.dim != lifted.m:
         raise DimensionMismatch(
             f"nominal dimension {nominal.dim} vs aggregate coordinates {lifted.m}")
-    f = sp.csr_matrix(nominal.a)
-    h = nominal.c
-    b11 = lifted.u_block
-    b12 = sp.csr_matrix(lifted.tail_block)
-    return f, h, b11, b12
+    f, h = nominal.a, nominal.c
+    b11, b12 = lifted.u_block, lifted.tail_block
+    n, m, mt, k = lifted.n_rows, lifted.m, lifted.m_tilde, f.shape[0]
+    g0 = 1                                   # first column of G, r, W and V
+    r0 = g0 + n * k
+    w0 = r0 + m
+    v0 = w0 + (mt * m if affine else 0)
+    nv = v0 + mt
+    rows = np.arange(n)[:, None]
+    ti, tq, t_rank = _nonzero(b12)
+
+    # row i*m + j: (G F)[i, j] - (B12 W)[i, j] = B11[i, j]
+    fj, fl, f_rank = _nonzero(f.T)
+    eq_blocks = [(rows * m + fj, f_rank, g0 + rows * k + fl, f[fl, fj])]
+    if affine:
+        slots = np.arange(m)
+        eq_blocks.append((ti[:, None] * m + slots, t_rank[:, None],
+                          w0 + tq[:, None] * m + slots, -b12[ti, tq][:, None]))
+    a_eq = _csr((n * m, nv), eq_blocks)
+
+    # row i: -s c_i + (G H)_i - (B11 r)_i + (B12 V)_i <= 0
+    ci, = np.nonzero(lifted.c)
+    hl, = np.nonzero(h)
+    ui, uj, u_rank = _nonzero(b11)
+    a_in = _csr((n, nv), [
+        (ci, 0, 0, -lifted.c[ci]),
+        (rows, np.arange(hl.size), g0 + rows * k + hl, h[hl]),
+        (ui, u_rank, r0 + uj, -b11[ui, uj]),
+        (ti, t_rank, v0 + tq, b12[ti, tq]),
+    ])
+
+    lower = np.full(nv, -np.inf)
+    lower[:r0] = 0.0
+    objective = np.zeros(nv)
+    objective[0] = 1.0
+    return lp.LpProblem(objective=objective, a_in=a_in, b_in=np.zeros(n),
+                        a_eq=a_eq, b_eq=b11.ravel(), lower=lower,
+                        name="app" if affine else "opp3")
 
 
 def build_app(lifted: LiftedPolytope, nominal: HPolytope) -> lp.LpProblem:
-    """LP for the affine-rule approximation.
-
-    Variables (s, G, r, W, V): minimize s subject to G F = B [I; W],
-    G H <= B [r; -V] + s c, G >= 0. G is n x k row-major; W is m_tilde x m
-    row-major.
-    """
-    f, h, b11, b12 = _blocks(lifted, nominal)
-    n, m, mt, k = lifted.n_rows, lifted.m, lifted.m_tilde, f.shape[0]
-    n_g = n * k
-    nv = 1 + n_g + m + mt * m + mt
-    eye_n = sp.eye(n, format="csr")
-    zero_s = sp.csr_matrix((n * m, 1))
-    g_eq = sp.kron(eye_n, f.T, format="csr")
-    zero_r = sp.csr_matrix((n * m, m))
-    blocks = [zero_s, g_eq, zero_r]
-    if mt:
-        blocks.append(-sp.kron(b12, sp.eye(m), format="csr"))
-        blocks.append(sp.csr_matrix((n * m, mt)))
-    a_eq = sp.hstack(blocks, format="csr")
-    b_eq = b11.ravel()
-
-    s_col = sp.csr_matrix(-lifted.c.reshape(-1, 1))
-    g_in = sp.kron(eye_n, sp.csr_matrix(h.reshape(1, -1)), format="csr")
-    blocks = [s_col, g_in, sp.csr_matrix(-b11)]
-    if mt:
-        blocks.append(sp.csr_matrix((n, mt * m)))
-        blocks.append(b12)
-    a_in = sp.hstack(blocks, format="csr")
-
-    lower = np.full(nv, -np.inf)
-    upper = np.full(nv, np.inf)
-    lower[0] = 0.0
-    upper[0] = S_MAX
-    lower[1:1 + n_g] = 0.0
-    objective = np.zeros(nv)
-    objective[0] = 1.0
-    return lp.LpProblem(objective=objective, a_in=a_in, b_in=np.zeros(n),
-                        a_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper,
-                        name="app")
+    """LP for the affine-rule approximation, variables (s, G, r, W, V)."""
+    return _homothet_lp(lifted, nominal, affine=True)
 
 
 def build_opp3(lifted: LiftedPolytope, nominal: HPolytope) -> lp.LpProblem:
-    """LP for the fixed-cross-section approximation.
-
-    Variables (s, G, r, u0): minimize s subject to G F = (u-columns of B),
-    G H <= B [r; -u0] + s c, G >= 0.
-    """
-    f, h, b11, b12 = _blocks(lifted, nominal)
-    n, m, mt, k = lifted.n_rows, lifted.m, lifted.m_tilde, f.shape[0]
-    n_g = n * k
-    nv = 1 + n_g + m + mt
-    g_eq = sp.kron(sp.eye(n, format="csr"), f.T, format="csr")
-    blocks = [sp.csr_matrix((n * m, 1)), g_eq, sp.csr_matrix((n * m, m))]
-    if mt:
-        blocks.append(sp.csr_matrix((n * m, mt)))
-    a_eq = sp.hstack(blocks, format="csr")
-    b_eq = b11.ravel()
-
-    s_col = sp.csr_matrix(-lifted.c.reshape(-1, 1))
-    g_in = sp.kron(sp.eye(n, format="csr"), sp.csr_matrix(h.reshape(1, -1)), format="csr")
-    blocks = [s_col, g_in, sp.csr_matrix(-b11)]
-    if mt:
-        blocks.append(b12)
-    a_in = sp.hstack(blocks, format="csr")
-
-    lower = np.full(nv, -np.inf)
-    upper = np.full(nv, np.inf)
-    lower[0] = 0.0
-    upper[0] = S_MAX
-    lower[1:1 + n_g] = 0.0
-    objective = np.zeros(nv)
-    objective[0] = 1.0
-    return lp.LpProblem(objective=objective, a_in=a_in, b_in=np.zeros(n),
-                        a_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper,
-                        name="opp3")
+    """LP for the fixed-cross-section approximation: the affine-rule LP
+    with W = 0, variables (s, G, r, u0)."""
+    return _homothet_lp(lifted, nominal, affine=False)
 
 
 @dataclass(frozen=True)
@@ -428,6 +435,8 @@ class AppSolution:
     w: np.ndarray          # (m_tilde, m)
     v: np.ndarray          # (m_tilde,)
     g: np.ndarray          # (n, k) certificate, nonnegative
+
+    __eq__ = fields_equal
 
     @property
     def lam(self) -> float:

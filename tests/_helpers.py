@@ -3,6 +3,7 @@
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse as sp
 
 from flexbat import lp
 from flexbat.aggregation import (AggregationTree, CohortNode, DispatchResult,
@@ -13,6 +14,7 @@ from flexbat.errors import (DispatchInfeasible, EmptyBattery, NotInBattery,
 from flexbat.fleet import ChargingTask, Fleet
 from flexbat.geometry import (HPolytope, VirtualBattery, contains_point,
                               support_function)
+from flexbat.projection import S_MAX, LiftedPolytope
 
 
 def bounding_box(poly: HPolytope) -> tuple[np.ndarray, np.ndarray]:
@@ -209,3 +211,42 @@ def dispatch_reference(tree: AggregationTree, u: np.ndarray,
     schedule = np.vstack([rows[tid] for tid in ids])
     return DispatchResult(task_ids=ids, schedule=schedule,
                           group_profiles=profiles, clamped=tuple(clamp_log))
+
+
+def build_app_reference(lifted: LiftedPolytope, nominal: HPolytope) -> lp.LpProblem:
+    """Reference for `build_app`: the APP LP assembled from kron/hstack
+    blocks, with the former column bound s <= S_MAX."""
+    f = sp.csr_matrix(nominal.a)
+    h = nominal.c
+    b11 = lifted.u_block
+    b12 = sp.csr_matrix(lifted.tail_block)
+    n, m, mt, k = lifted.n_rows, lifted.m, lifted.m_tilde, f.shape[0]
+    n_g = n * k
+    nv = 1 + n_g + m + mt * m + mt
+    eye_n = sp.eye(n, format="csr")
+    blocks = [sp.csr_matrix((n * m, 1)), sp.kron(eye_n, f.T, format="csr"),
+              sp.csr_matrix((n * m, m))]
+    if mt:
+        blocks.append(-sp.kron(b12, sp.eye(m), format="csr"))
+        blocks.append(sp.csr_matrix((n * m, mt)))
+    a_eq = sp.hstack(blocks, format="csr")
+    b_eq = b11.ravel()
+
+    s_col = sp.csr_matrix(-lifted.c.reshape(-1, 1))
+    g_in = sp.kron(eye_n, sp.csr_matrix(h.reshape(1, -1)), format="csr")
+    blocks = [s_col, g_in, sp.csr_matrix(-b11)]
+    if mt:
+        blocks.append(sp.csr_matrix((n, mt * m)))
+        blocks.append(b12)
+    a_in = sp.hstack(blocks, format="csr")
+
+    lower = np.full(nv, -np.inf)
+    upper = np.full(nv, np.inf)
+    lower[0] = 0.0
+    upper[0] = S_MAX
+    lower[1:1 + n_g] = 0.0
+    objective = np.zeros(nv)
+    objective[0] = 1.0
+    return lp.LpProblem(objective=objective, a_in=a_in, b_in=np.zeros(n),
+                        a_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper,
+                        name="app")

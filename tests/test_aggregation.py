@@ -503,6 +503,25 @@ def test_parallel_workers_identical_results():
     assert serial.battery.e_high == pooled.battery.e_high
 
 
+def test_tree_equality_compares_values():
+    """A tree equals its reloaded copy, certificates included, and differs
+    from a copy with one number nudged, be it a unit bound, a nominal
+    bound or an entry of the affine rule."""
+    fleet = generate_fleet(6, 8, seed=1)
+    tree = aggregate(fleet, AggregateConfig(group_size=3, fanout=2))
+    d = tree_to_dict(tree, with_certificates=True)
+    assert tree_from_dict(d) == tree
+    assert tree_from_dict(tree_to_dict(tree)) != tree     # G left out
+
+    app = next(node for node in _dicts(d["root"]) if node["kind"] == "app")
+    fields = (app["units"][0]["hi"], app["nominal"]["p_high"], app["app"]["r"])
+    for values in fields:
+        values[0] = np.nextafter(values[0], np.inf)
+        assert tree_from_dict(d) != tree
+        values[0] = np.nextafter(values[0], -np.inf)
+    assert tree_from_dict(d) == tree
+
+
 def test_tree_version_guard():
     fleet = identical_fleet(2)
     tree = aggregate(fleet, AggregateConfig(group_size=2, fanout=2))

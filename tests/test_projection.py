@@ -2,17 +2,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _helpers import random_small_fleet, reconstruct_reference
-from flexbat import lp
+from _helpers import (build_app_reference, random_small_fleet,
+                      reconstruct_reference)
+from flexbat import lp, projection
+from flexbat.aggregation import (Leaf, _mean_nominal, _most_constrained,
+                                 _solve_chunk, _span, _unit_nominal_on_span,
+                                 partition_fleet)
 from flexbat.errors import DimensionMismatch, EmptyOrDegenerate, EmptyUnit
-from flexbat.fleet import ChargingTask
-from flexbat.geometry import (VirtualBattery, battery_to_hpolytope,
+from flexbat.fleet import ChargingTask, generate_fleet
+from flexbat.geometry import (HPolytope, VirtualBattery, battery_to_hpolytope,
                               contains_polytope, homothet_apply,
                               homothet_apply_battery)
 from flexbat.oracle import adequacy_lp
-from flexbat.projection import (FlexUnit, LiftedPolytope, eliminate,
-                                solve_app, solve_opp3)
+from flexbat.projection import (CERTIFICATE_TOL, S_MAX, FlexUnit,
+                                LiftedPolytope, build_app, build_opp3,
+                                eliminate, solve_app, solve_opp3)
 from flexbat.sampling import sample_battery
 
 EX1_LIFTED = LiftedPolytope(
@@ -372,3 +379,147 @@ def test_app_certificate_checked_after_solve(monkeypatch):
     monkeypatch.setattr(lp, "solve_lp", perturbed)
     with pytest.raises(EmptyOrDegenerate, match="certificate"):
         solve_app(EX1_LIFTED, nominal)
+
+
+# ------------------------------------------------------------ LP assembly
+
+def _battery_system(units, coords, p_low):
+    """Lifted system of `units` over `coords`, against a nominal battery
+    with the given per-slot lower bounds on `coords`."""
+    lifted = eliminate(units, coords=coords)
+    p_low = np.asarray(p_low, dtype=float)
+    p_high = p_low + 1.0
+    nominal = VirtualBattery(p_low, p_high, p_low.sum(), p_high.sum())
+    return lifted, battery_to_hpolytope(nominal, coords=lifted.elim.coords)
+
+
+@st.composite
+def lifted_systems(draw):
+    """A lifted system and a nominal over its coordinates: pinned slots
+    inside and beyond the units' union, zeros in c, H and F, and units that
+    share no slot (m_tilde == 0)."""
+    span = draw(st.integers(1, 5))
+    value = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5, -1.0])
+    units = []
+    for i in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(1, span))
+        d = draw(st.integers(a, span))
+        lo = np.array(draw(st.lists(value, min_size=d - a + 1, max_size=d - a + 1)))
+        hi = lo + np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 1.5]),
+                                         min_size=lo.size, max_size=lo.size)))
+        e_low = lo.sum() + draw(st.sampled_from([0.0, 0.25])) * (hi.sum() - lo.sum())
+        e_high = hi.sum() - draw(st.sampled_from([0.0, 0.5])) * (hi.sum() - e_low)
+        units.append(FlexUnit(active=tuple(range(a, d + 1)), lo=lo, hi=hi,
+                              e_low=e_low, e_high=e_high, origin=f"u{i}"))
+    pad = draw(st.integers(0, 2))
+    coords = None if pad == 0 else tuple(range(1, span + pad + 1))
+    lifted = eliminate(units, coords=coords)
+    m = lifted.m
+    if draw(st.booleans()):
+        p_low = np.array(draw(st.lists(value, min_size=m, max_size=m)))
+        nominal = battery_to_hpolytope(
+            VirtualBattery(p_low, p_low + 1.0, p_low.sum(), p_low.sum() + m))
+    else:
+        rows = draw(st.integers(1, 2 * m + 2))
+        f = np.array(draw(st.lists(value, min_size=rows * m, max_size=rows * m)))
+        h = np.array(draw(st.lists(value, min_size=rows, max_size=rows)))
+        nominal = HPolytope(f.reshape(rows, m), h)
+    return lifted, nominal
+
+
+def _csr_bytes(mat):
+    return (mat.shape, mat.indptr.dtype, mat.indptr.tobytes(), mat.indices.dtype,
+            mat.indices.tobytes(), mat.data.tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(lifted_systems())
+@example(_battery_system(   # pinned coords wider than the units' union
+    [task_unit(2, 3, 1.0, 0.5, 1.5, "a"), unit((3,), 2.0, 1.0, 2.0, "b")],
+    (1, 2, 3, 4, 5), [0.0, 0.5, 0.0, 1.0, 0.0]))
+@example(_battery_system(   # disjoint windows: m_tilde == 0
+    [task_unit(1, 2, 1.0, 0.5, 1.5, "a"), task_unit(3, 4, 2.0, 1.0, 2.0, "b")],
+    None, [0.5, 0.5, 1.0, 1.0]))
+@example(_battery_system(   # nominal p_low == 0: zeros in H
+    [task_unit(1, 3, 1.0, 0.5, 1.5, "a"), task_unit(2, 4, 2.0, 1.0, 2.0, "b")],
+    None, np.zeros(4)))
+def test_build_app_matches_reference(system):
+    """The one-pass builder gives the kron/hstack builder's bytes: CSR
+    arrays, right-hand sides, objective and lower bounds. Only the former
+    bound s <= S_MAX is gone. OPP3 is the same LP without the W columns."""
+    lifted, nominal = system
+    new = build_app(lifted, nominal)
+    ref = build_app_reference(lifted, nominal)
+    assert _csr_bytes(new.a_eq) == _csr_bytes(ref.a_eq)
+    assert _csr_bytes(new.a_in) == _csr_bytes(ref.a_in)
+    for name in ("b_eq", "b_in", "objective", "lower"):
+        assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert ref.upper[0] == S_MAX and new.upper[0] == np.inf
+    assert new.upper[1:].tobytes() == ref.upper[1:].tobytes()
+
+    m, mt, w0 = lifted.m, lifted.m_tilde, 1 + lifted.n_rows * nominal.n_rows + lifted.m
+    keep = np.r_[0:w0, w0 + mt * m:new.n_vars]
+    opp3 = build_opp3(lifted, nominal)
+    for mat, full in ((opp3.a_eq, ref.a_eq), (opp3.a_in, ref.a_in)):
+        assert mat.has_canonical_format
+        assert _csr_bytes(mat) == _csr_bytes(full[:, keep].tocsr())
+    for name in ("b_eq", "b_in"):
+        assert getattr(opp3, name).tobytes() == getattr(new, name).tobytes(), name
+    for name in ("objective", "lower", "upper"):
+        assert getattr(opp3, name).tobytes() == getattr(new, name)[keep].tobytes(), name
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_solve_app_matches_reference_lp(seed, monkeypatch):
+    """On fleet groups the LP without the bound on s gives the reference
+    LP's s, and both certificates hold."""
+    fleet = generate_fleet(20, 12, seed)
+    solved = []
+    for group in partition_fleet(fleet, 5)[:2]:
+        units = [FlexUnit.from_task(t) for t in group]
+        coords = _span(units)
+        lifted = eliminate(units, coords=coords)
+        nominal = battery_to_hpolytope(_mean_nominal(units, coords, fleet.delta),
+                                       coords=coords)
+        new = solve_app(lifted, nominal)
+        with monkeypatch.context() as patch:
+            patch.setattr(projection, "build_app", build_app_reference)
+            ref = solve_app(lifted, nominal)
+        assert new.s == pytest.approx(ref.s, rel=1e-9)
+        for sol in (new, ref):
+            assert max(sol.residuals(lifted, nominal).values()) <= CERTIFICATE_TOL
+        solved.append(lifted.m_tilde)
+    assert min(solved) > 0
+
+
+def test_scale_guard_without_column_bound(monkeypatch):
+    """With no column bound on s, a huge s reaches `_checked_s`, which
+    rejects it as EmptyOrDegenerate; `_solve_chunk` then drops a rung."""
+    real = lp.solve_lp
+    calls = []
+
+    def huge_s(problem, **kwargs):
+        sol = real(problem, **kwargs)
+        calls.append(problem.upper[0])
+        if len(calls) > 1:
+            return sol
+        x = sol.x.copy()
+        x[0] = 0.2 * S_MAX
+        return replace(sol, x=x)
+
+    monkeypatch.setattr(lp, "solve_lp", huge_s)
+    nominal = battery_to_hpolytope(EX1_NOMINAL)
+    with pytest.raises(EmptyOrDegenerate, match="scale guard"):
+        solve_app(EX1_LIFTED, nominal)
+    assert calls == [np.inf]
+
+    calls.clear()
+    units = [task_unit(1, 3, 1.0, 0.5, 2.0, "a"), task_unit(2, 4, 2.0, 1.0, 3.0, "b")]
+    coords = _span(units)
+    shared = _mean_nominal(units, coords, 1.0)
+    solved = _solve_chunk("g", units, [Leaf("a"), Leaf("b")], coords, shared,
+                          (1, 4), 1.0)
+    assert len(calls) == 2
+    assert len(solved) == 1 and solved[0].cohort_key is None
+    fallback = _unit_nominal_on_span(_most_constrained(units), coords)
+    assert solved[0].node.nominal == fallback != shared

@@ -13,7 +13,6 @@ profile into admissible per-task schedules.
 
 from __future__ import annotations
 
-import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import (DispatchInfeasible, EmptyOrDegenerate, NotInBattery,
                      ValidationError)
-from .fleet import ChargingTask, Fleet
+from .fleet import ChargingTask, Fleet, read_json, write_json
 from .geometry import Homothet, VirtualBattery, battery_to_hpolytope, homothet_apply_battery
 from .projection import (AppSolution, EliminationMap, FlexUnit, eliminate,
                          solve_app)
@@ -59,7 +58,8 @@ class AppNode:
 
     @property
     def battery(self) -> VirtualBattery:
-        return homothet_apply_battery(self.app.homothet, self.nominal)
+        return homothet_apply_battery(self.app.homothet, self.nominal,
+                                      self.units[0].delta)
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,8 @@ class CohortNode:
 
     @property
     def battery(self) -> VirtualBattery:
-        return homothet_apply_battery(Homothet(self.lam, self.mu), self.base)
+        return homothet_apply_battery(Homothet(self.lam, self.mu), self.base,
+                                      self.children[0].units[0].delta)
 
 
 TreeNode = Union[Leaf, AppNode, CohortNode]
@@ -610,11 +611,8 @@ def tree_from_dict(d: dict) -> AggregationTree:
 
 
 def save_tree(tree: AggregationTree, path: str, with_certificates: bool = False) -> None:
-    with open(path, "w") as fh:
-        json.dump(tree_to_dict(tree, with_certificates), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, tree_to_dict(tree, with_certificates))
 
 
 def load_tree(path: str) -> AggregationTree:
-    with open(path) as fh:
-        return tree_from_dict(json.load(fh))
+    return read_json(path, tree_from_dict)

@@ -3,15 +3,13 @@
 Exit codes: 0 ok, 2 validation failure, 3 degenerate aggregation, 4 I/O.
 Worker-pool width comes from --workers or the FLEX_WORKERS environment
 variable. Arbitrage is solved in closed form, not by an LP solver, so
---dump-lp writes only the aggregation's LPs. All CSVs are slot-indexed
-with a header row and %.6f values; JSON files are pretty-printed with
-sorted keys so reruns diff cleanly.
+--dump-lp writes only the aggregation's LPs. Files are read and written
+through the shared JSON and slot-CSV functions in `fleet`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -21,13 +19,14 @@ from typing import Optional
 import numpy as np
 
 from . import lp
-from .aggregation import (AggregateConfig, aggregate, bounds_report,
-                          dispatch, load_tree, save_tree)
+from .aggregation import (AggregateConfig, aggregate, dispatch, load_tree,
+                          save_tree)
 from .errors import (EmptyBattery, EmptyOrDegenerate, FlexError,
                      LengthMismatch, ParseError, TargetOutOfRange,
                      ValidationError)
 from .fleet import (Fleet, generate_fleet, load_fleet, load_schedule,
-                    save_fleet, save_schedule)
+                    read_json, read_slots, save_fleet, save_schedule,
+                    write_json, write_slots)
 from .geometry import VirtualBattery
 from .oracle import adequacy_lp, adequacy_thm1, validate_schedule
 
@@ -65,25 +64,8 @@ def load_prices(path: str, unit: str = "mwh", m: Optional[int] = None) -> PriceS
     if unit not in ("mwh", "kwh"):
         raise ValidationError(f"unknown price unit {unit!r} (use mwh or kwh)")
     scale = 1e-3 if unit == "mwh" else 1.0
-    values: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty price file") from None
-        if [h.strip().lower() for h in header[:2]] != ["slot", "price"]:
-            raise ParseError(f"{path}: expected header 'slot,price'")
-        for line_no, rec in enumerate(reader, start=2):
-            if len(rec) < 2:
-                raise ParseError(f"{path}: line {line_no}: expected slot,price")
-            try:
-                values.append(float(rec[1]))
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {line_no}: {exc}") from exc
-    if m is not None and len(values) != m:
-        raise LengthMismatch(f"{path}: {len(values)} price rows for horizon {m}")
-    return PriceSeries(np.asarray(values) * scale, source=os.path.basename(path))
+    return PriceSeries(read_slots(path, m, column="price") * scale,
+                       source=os.path.basename(path))
 
 
 def arbitrage(battery: VirtualBattery, prices: PriceSeries,
@@ -160,48 +142,20 @@ def demo_price_curve(m: int) -> PriceSeries:
     return PriceSeries(mwh * 1e-3, source="synthetic-two-valley")
 
 
-def write_profile(profile: np.ndarray, path: str, column: str = "power_kw") -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", column])
-        for t, v in enumerate(profile, start=1):
-            writer.writerow([t, f"{v:.6f}"])
+def write_profile(profile: np.ndarray, path: str) -> None:
+    write_slots(path, {"power_kw": profile})
 
 
 def read_profile(path: str, m: Optional[int] = None) -> np.ndarray:
-    values: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty profile file") from None
-        if not header or header[0].strip().lower() != "slot":
-            raise ParseError(f"{path}: expected header starting with 'slot'")
-        for line_no, rec in enumerate(reader, start=2):
-            try:
-                values.append(float(rec[1]))
-            except (IndexError, ValueError) as exc:
-                raise ParseError(f"{path}: line {line_no}: {exc}") from exc
-    if m is not None and len(values) != m:
-        raise LengthMismatch(f"{path}: {len(values)} rows for horizon {m}")
-    return np.asarray(values)
+    return read_slots(path, m)
 
 
 def save_battery(battery: VirtualBattery, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(battery.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, battery.to_dict())
 
 
 def load_battery(path: str) -> VirtualBattery:
-    try:
-        with open(path) as fh:
-            return VirtualBattery.from_dict(json.load(fh))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing field {exc}") from exc
+    return read_json(path, VirtualBattery.from_dict)
 
 
 def run_pipeline(fleet: Fleet, prices: PriceSeries, config: AggregateConfig,
@@ -235,17 +189,10 @@ def run_pipeline(fleet: Fleet, prices: PriceSeries, config: AggregateConfig,
     adequacy = adequacy_lp(fleet, arb.z)
     membership = battery.contains(arb.z, delta=fleet.delta)
 
-    rows = bounds_report(battery)
-    with open(os.path.join(outdir, "bounds.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "p_low_kw", "p_high_kw"])
-        for t, lo, hi in rows:
-            writer.writerow([int(t), f"{lo:.6f}", f"{hi:.6f}"])
-    with open(os.path.join(outdir, "profile_vs_price.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "power_kw", "price_per_kwh"])
-        for t in range(fleet.m):
-            writer.writerow([t + 1, f"{arb.z[t]:.6f}", f"{prices.prices[t]:.6f}"])
+    write_slots(os.path.join(outdir, "bounds.csv"),
+                {"p_low_kw": battery.p_low, "p_high_kw": battery.p_high})
+    write_slots(os.path.join(outdir, "profile_vs_price.csv"),
+                {"power_kw": arb.z, "price_per_kwh": prices.prices})
 
     fleet_lo, fleet_hi = fleet.total_energy_interval()
     report = {
@@ -275,9 +222,7 @@ def run_pipeline(fleet: Fleet, prices: PriceSeries, config: AggregateConfig,
     }
     report["verification"]["green"] = bool(
         report_v.ok and adequacy.adequate and membership)
-    with open(os.path.join(outdir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "report.json"), report)
     return report
 
 
@@ -455,11 +400,7 @@ def _cmd_demo(args) -> int:
     prices = demo_price_curve(args.m)
     os.makedirs(args.outdir, exist_ok=True)
     save_fleet(fleet, os.path.join(args.outdir, "fleet.json"))
-    with open(os.path.join(args.outdir, "lmp.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "price"])
-        for t, v in enumerate(prices.prices * 1e3, start=1):
-            writer.writerow([t, f"{v:.6f}"])
+    write_slots(os.path.join(args.outdir, "lmp.csv"), {"price": prices.prices * 1e3})
     report = run_pipeline(fleet, prices, config, args.outdir,
                           with_certificates=args.with_certificate)
     green = report["verification"]["green"]

@@ -4,6 +4,10 @@ Units are kW, kWh, and hours throughout; the slot length `delta` defaults
 to one hour. Slots are 1-based: a task with window (a, d) may draw power
 during slots a..d inclusive and must end with total energy inside
 [e_low, e_high].
+
+File I/O: one JSON reader/writer (fleet, tree, battery, report files),
+one slot-CSV pair (profile, bounds, price files) and the schedule CSV.
+JSON keys are sorted and CSV values have six decimals: reruns diff cleanly.
 """
 
 from __future__ import annotations
@@ -11,11 +15,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import BadProfile, InfeasibleTask, ParseError, ValidationError
+from .errors import (BadProfile, InfeasibleTask, LengthMismatch, ParseError,
+                     ValidationError)
 from .geometry import HPolytope
 
 
@@ -99,22 +104,12 @@ class Fleet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Fleet":
-        for key in ("m", "delta_h", "tasks"):
-            if key not in d:
-                raise ParseError(f"fleet JSON missing field {key!r}")
-        tasks = []
-        for i, rec in enumerate(d["tasks"]):
-            for key in ("id", "a", "d", "p_kw", "e_low_kwh", "e_high_kwh"):
-                if key not in rec:
-                    raise ParseError(f"task #{i} missing field {key!r}")
-            try:
-                tasks.append(ChargingTask(
-                    id=str(rec["id"]), a=int(rec["a"]), d=int(rec["d"]),
-                    p=float(rec["p_kw"]), e_low=float(rec["e_low_kwh"]),
-                    e_high=float(rec["e_high_kwh"])))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"task #{i}: {exc}") from exc
-        return cls(m=int(d["m"]), tasks=tuple(tasks), delta=float(d["delta_h"]))
+        tasks = tuple(
+            ChargingTask(id=str(rec["id"]), a=int(rec["a"]), d=int(rec["d"]),
+                         p=float(rec["p_kw"]), e_low=float(rec["e_low_kwh"]),
+                         e_high=float(rec["e_high_kwh"]))
+            for rec in d["tasks"])
+        return cls(m=int(d["m"]), tasks=tasks, delta=float(d["delta_h"]))
 
 
 def admissible_polytope(task: ChargingTask, m: int, delta: float = 1.0) -> HPolytope:
@@ -210,19 +205,65 @@ def generate_fleet(n: int, m: int, seed: int,
     return Fleet(m=m, tasks=tuple(tasks), delta=delta)
 
 
-def save_fleet(fleet: Fleet, path: str) -> None:
+T = TypeVar("T")
+
+
+def write_json(path: str, data: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(fleet.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_fleet(path: str) -> Fleet:
+def read_json(path: str, build: Callable[[dict], T]) -> T:
+    """`build` applied to a JSON file's content. Malformed JSON, and content
+    `build` cannot use (a missing field, a wrong type or value), raise
+    ParseError naming the file."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return build(json.load(fh))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return Fleet.from_dict(data)
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing field {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def write_slots(path: str, columns: dict[str, np.ndarray]) -> None:
+    """Slot CSV: header `slot,<column names>`, one row per 1-based slot."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["slot", *columns])
+        for t, row in enumerate(zip(*columns.values()), start=1):
+            writer.writerow([t, *(f"{v:.6f}" for v in row)])
+
+
+def read_slots(path: str, m: Optional[int] = None,
+               column: Optional[str] = None) -> np.ndarray:
+    """Second column of a slot CSV. With `column` the header must name it;
+    with `m` the file must hold m rows, else LengthMismatch."""
+    values: list[float] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip().lower() for h in next(reader, [])]
+        if header[:1] != ["slot"] or (column is not None and header[1:2] != [column]):
+            raise ParseError(f"{path}: expected header 'slot,{column or '...'}'")
+        for line_no, rec in enumerate(reader, start=2):
+            try:
+                values.append(float(rec[1]))
+            except (IndexError, ValueError) as exc:
+                raise ParseError(f"{path}: line {line_no}: expected slot,value ({exc})") from exc
+    if m is not None and len(values) != m:
+        raise LengthMismatch(f"{path}: {len(values)} rows for horizon {m}")
+    return np.asarray(values)
+
+
+def save_fleet(fleet: Fleet, path: str) -> None:
+    write_json(path, fleet.to_dict())
+
+
+def load_fleet(path: str) -> Fleet:
+    return read_json(path, Fleet.from_dict)
 
 
 def save_schedule(task_ids: Sequence[str], schedule: np.ndarray, path: str) -> None:

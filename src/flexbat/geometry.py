@@ -92,16 +92,15 @@ class Homothet:
     def inverse(self) -> "Homothet":
         return Homothet(1.0 / self.lam, -self.mu / self.lam)
 
-    def point(self, x: np.ndarray) -> np.ndarray:
-        return self.lam * np.asarray(x, dtype=float) + self.mu
-
 
 @dataclass(frozen=True)
 class VirtualBattery:
     """Per-slot power bounds plus a total-energy interval.
 
     Membership (at slot length delta): p_low <= u <= p_high and
-    e_low <= delta * sum(u) <= e_high.
+    e_low <= delta * sum(u) <= e_high. The battery does not know its slot
+    length, so whether the power bounds can reach the energy interval is
+    checked by its users (`FlexUnit`, `arbitrage`, `dispatch`) at theirs.
     """
 
     p_low: np.ndarray
@@ -121,8 +120,6 @@ class VirtualBattery:
             raise ValueError("p_low exceeds p_high")
         if not self.e_low <= self.e_high + tol:
             raise ValueError("e_low exceeds e_high")
-        if lo.sum() > self.e_high + tol or self.e_low > hi.sum() + tol:
-            raise ValueError("energy interval unreachable from power bounds")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "p_low", lo)
@@ -213,11 +210,13 @@ def homothet_apply(h: Homothet, b: HPolytope) -> HPolytope:
     return HPolytope(b.a, h.lam * b.c + b.a @ h.mu, coords=b.coords)
 
 
-def homothet_apply_battery(h: Homothet, b: VirtualBattery) -> VirtualBattery:
-    """Battery image under u -> lam*u + mu (bounds map facet-wise)."""
+def homothet_apply_battery(h: Homothet, b: VirtualBattery,
+                           delta: float = 1.0) -> VirtualBattery:
+    """Battery image under u -> lam*u + mu at slot length `delta` (bounds
+    map facet-wise; the energy interval moves by delta * sum(mu))."""
     if h.mu.size != b.m:
         raise DimensionMismatch("translate length vs battery horizon")
-    shift = float(h.mu.sum())
+    shift = delta * float(h.mu.sum())
     return VirtualBattery(
         p_low=h.lam * b.p_low + h.mu,
         p_high=h.lam * b.p_high + h.mu,

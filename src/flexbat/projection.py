@@ -8,8 +8,9 @@ onto u. `solve_app` finds the largest scaled-and-translated copy of a
 nominal battery certified to fit inside the projection, together with the
 affine rule u_tilde = W u + V that reconstructs per-unit profiles; the
 certificate is a nonnegative multiplier matrix G tying the two facet
-systems together. `solve_opp3` is the cheaper fixed-cross-section variant
-(a constant rule), kept as the conservative reference.
+systems together. `solve_opp3` is the fixed-cross-section variant: the
+same LP and solve with W held at 0 (a constant rule), kept as the
+conservative reference.
 """
 
 from __future__ import annotations
@@ -422,7 +423,7 @@ def build_app(lifted: LiftedPolytope, nominal: HPolytope) -> lp.LpProblem:
 
 def build_opp3(lifted: LiftedPolytope, nominal: HPolytope) -> lp.LpProblem:
     """LP for the fixed-cross-section approximation: the affine-rule LP
-    with W = 0, variables (s, G, r, u0)."""
+    with W = 0, variables (s, G, r, V)."""
     return _homothet_lp(lifted, nominal, affine=False)
 
 
@@ -497,26 +498,6 @@ class AppSolution:
                    v=np.asarray(d["V"], float), g=g)
 
 
-@dataclass(frozen=True)
-class Opp3Solution:
-    s: float
-    r: np.ndarray
-    u0: np.ndarray
-    g: np.ndarray
-
-    @property
-    def lam(self) -> float:
-        return 1.0 / self.s
-
-    @property
-    def mu(self) -> np.ndarray:
-        return -self.r / self.s
-
-    @property
-    def homothet(self) -> Homothet:
-        return Homothet(self.lam, self.mu)
-
-
 def _checked_s(sol: lp.LpSolution, what: str) -> float:
     if sol.status != lp.OPTIMAL:
         raise EmptyOrDegenerate(f"{what}: LP terminated {sol.status}")
@@ -535,43 +516,42 @@ def _format_lifted(lifted: LiftedPolytope) -> str:
     return "\n".join(rows) + "\n"
 
 
-def solve_app(lifted: LiftedPolytope, nominal: HPolytope,
-              tol: float = APP_TOL) -> AppSolution:
-    """Solve the affine-rule approximation to an AppSolution.
+def _solve_homothet(lifted: LiftedPolytope, nominal: HPolytope, tol: float,
+                    affine: bool) -> AppSolution:
+    """Solve the homothet LP (W = 0 unless `affine`) to an AppSolution.
 
-    The APP LP is solved by interior point with crossover: on these
-    large, sparse LPs it is two to four times faster than simplex and
-    still returns a vertex, so the certificate G stays sparse. The
-    certificate is checked against the LP data instead of trusting the
-    solver's status; a residual above CERTIFICATE_TOL raises
+    Interior point with crossover is two to four times faster than simplex
+    on these large, sparse LPs and still returns a vertex, so G stays
+    sparse. The certificate is checked against the LP data instead of
+    trusting the solver's status: a residual above CERTIFICATE_TOL raises
     EmptyOrDegenerate, so the caller's fallback ladder takes over.
     """
     lp.dump_text("lifted", "txt", lambda: _format_lifted(lifted))
-    problem = build_app(lifted, nominal)
+    problem = build_app(lifted, nominal) if affine else build_opp3(lifted, nominal)
     sol = lp.solve_lp(problem, tol_feas=tol, tol_opt=tol, method=lp.IPM)
-    s = _checked_s(sol, "app")
+    s = _checked_s(sol, problem.name)
     n, m, mt, k = lifted.n_rows, lifted.m, lifted.m_tilde, nominal.n_rows
     x = sol.x
-    g = x[1:1 + n * k].reshape(n, k)
-    r = x[1 + n * k:1 + n * k + m]
-    w = x[1 + n * k + m:1 + n * k + m + mt * m].reshape(mt, m)
-    v = x[1 + n * k + m + mt * m:]
-    app = AppSolution(s=s, r=r, w=w, v=v, g=np.maximum(g, 0.0))
+    r0 = 1 + n * k
+    v0 = r0 + m + (mt * m if affine else 0)
+    w = x[r0 + m:v0].reshape(mt, m) if affine else np.zeros((mt, m))
+    app = AppSolution(s=s, r=x[r0:r0 + m], w=w, v=x[v0:],
+                      g=np.maximum(x[1:r0].reshape(n, k), 0.0))
     residuals = app.residuals(lifted, nominal)
     if max(residuals.values()) > CERTIFICATE_TOL:
-        raise EmptyOrDegenerate(f"app: certificate check failed, residuals {residuals}")
+        raise EmptyOrDegenerate(
+            f"{problem.name}: certificate check failed, residuals {residuals}")
     return app
 
 
+def solve_app(lifted: LiftedPolytope, nominal: HPolytope,
+              tol: float = APP_TOL) -> AppSolution:
+    """Solve the affine-rule approximation to an AppSolution."""
+    return _solve_homothet(lifted, nominal, tol, affine=True)
+
+
 def solve_opp3(lifted: LiftedPolytope, nominal: HPolytope,
-               tol: float = APP_TOL) -> Opp3Solution:
-    """Solve the fixed-cross-section approximation."""
-    problem = build_opp3(lifted, nominal)
-    sol = lp.solve_lp(problem, tol_feas=tol, tol_opt=tol)
-    s = _checked_s(sol, "opp3")
-    n, m, mt, k = lifted.n_rows, lifted.m, lifted.m_tilde, nominal.n_rows
-    x = sol.x
-    g = x[1:1 + n * k].reshape(n, k)
-    r = x[1 + n * k:1 + n * k + m]
-    u0 = x[1 + n * k + m:]
-    return Opp3Solution(s=s, r=r, u0=u0, g=np.maximum(g, 0.0))
+               tol: float = APP_TOL) -> AppSolution:
+    """Solve the fixed-cross-section approximation: an AppSolution with W = 0,
+    whose constant rule is V."""
+    return _solve_homothet(lifted, nominal, tol, affine=False)

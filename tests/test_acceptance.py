@@ -55,13 +55,13 @@ def test_criterion_1_example_golden():
 
     ok = (abs(opp3.s - 1.125) <= 1e-6
           and abs(opp3.r[0] - (-2.75)) <= 1e-6
-          and abs(opp3.u0[0] - 9.0) <= 1e-6
+          and abs(opp3.v[0] - 9.0) <= 1e-6
           and abs(app.s - 0.15) <= 1e-6
           and abs(app.r[0] - (-0.5)) <= 1e-6
           and abs(recovered.p_low[0] - 0.0) <= 1e-6
           and abs(recovered.p_high[0] - 10.0) <= 1e-6
           and elapsed < 1.0)
-    _finish(1, ok, f"OPP3 (s={opp3.s:.6f}, r={opp3.r[0]:.4f}, u0={opp3.u0[0]:.4f}), "
+    _finish(1, ok, f"OPP3 (s={opp3.s:.6f}, r={opp3.r[0]:.4f}, u0={opp3.v[0]:.4f}), "
                    f"APP (s={app.s:.6f}, r={app.r[0]:.4f}), interval "
                    f"[{recovered.p_low[0]:.2e}, {recovered.p_high[0]:.6f}], "
                    f"{elapsed:.2f}s")

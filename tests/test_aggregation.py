@@ -464,6 +464,25 @@ def test_dispatch_plan_stays_out_of_saved_files(tmp_path):
 
 # -------------------------------------------------------------------- trees
 
+@pytest.mark.parametrize("delta", [1.0, 0.5, 0.25])
+def test_aggregate_dispatch_validate_at_slot_length(delta):
+    """At one-hour and shorter slots, sampled and greedy-extreme profiles of
+    the root battery dispatch to admissible schedules and pass the LP
+    adequacy oracle."""
+    fleet = generate_fleet(24, 24, seed=42, delta=delta)
+    tree = aggregate(fleet, AggregateConfig(group_size=6, fanout=3))
+    b = tree.battery
+    profiles = list(sample_battery(b, 4, seed=1, delta=delta))
+    profiles += [greedy_profile(b, e, delta, order)
+                 for e in (b.e_low, b.e_high) for order in ("early", "late")]
+    for u in profiles:
+        result = dispatch(tree, u)
+        ordered = fleet_order_schedule(fleet, result.task_ids, result.schedule)
+        report = validate_schedule(fleet, ordered, u)
+        assert report.ok, report.violations[:3]
+        assert adequacy_lp(fleet, u).adequate
+
+
 def test_tree_json_roundtrip_dispatch(tmp_path):
     fleet = generate_fleet(15, 24, seed=21)
     tree = aggregate(fleet, AggregateConfig(group_size=5, fanout=3))

@@ -1,0 +1,60 @@
+"""The benchmark under bench/ imports flexbat names and times layers by
+replacing module attributes; these tests keep both working."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from flexbat import lp, projection
+from flexbat.geometry import VirtualBattery, battery_to_hpolytope
+from flexbat.projection import LiftedPolytope
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _flexbat_imports():
+    tree = ast.parse((BENCH / "runner.py").read_text())
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "flexbat"
+            for alias in node.names]
+
+
+def test_bench_runner_imports_resolve():
+    names = _flexbat_imports()
+    assert ("flexbat.cli", "save_battery") in names
+    for module, name in names:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_bench_wrapped_attributes_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    for module, attr, *_ in spans.WRAPPED:
+        assert callable(getattr(importlib.import_module(module), attr)), f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("solve, builder", [("solve_app", "build_app"),
+                                            ("solve_opp3", "build_opp3")])
+def test_solves_call_builder_and_solver_by_module_attribute(monkeypatch, solve, builder):
+    calls = []
+
+    def count(module, attr):
+        real = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append(attr)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    count(projection, builder)
+    count(lp, "solve_lp")
+    lifted = LiftedPolytope(b=np.array([[-0.5, -1.0], [0.6, 1.0], [-1.0, -1.0]]),
+                            c=np.array([-9.0, 10.0, -10.0]), m=1, m_tilde=1)
+    nominal = battery_to_hpolytope(VirtualBattery([-0.5], [1.0], -0.5, 1.0))
+    getattr(projection, solve)(lifted, nominal)
+    assert calls == [builder, "solve_lp"]

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import arbitrage_lp
@@ -112,13 +112,21 @@ def test_arbitrage_rejects_bad_slot_length():
 
 
 def test_arbitrage_unreachable_energy_raises_empty_battery():
-    """The battery is consistent at one-hour slots, but at 15 minutes the
-    power bounds cannot deliver the energy floor (or stay under the ceiling)."""
+    """Energy reach is checked at the slot length arbitrage is given. The
+    first two batteries are consistent at one-hour slots, but at 15 minutes
+    the power bounds cannot deliver the energy floor (or, at two hours,
+    stay under the ceiling). The third is the other way round: its power
+    floor overshoots its energy ceiling at one-hour slots only."""
     prices = PriceSeries(np.array([1.0, 2.0]))
     with pytest.raises(EmptyBattery):
         arbitrage(VirtualBattery([0.0, 0.0], [1.0, 1.0], 1.0, 2.0), prices, 0.25)
     with pytest.raises(EmptyBattery):
         arbitrage(VirtualBattery([1.0, 1.0], [2.0, 2.0], 2.0, 3.0), prices, 2.0)
+    battery = VirtualBattery([4.0], [8.0], 1.0, 1.5)
+    res = arbitrage(battery, PriceSeries(np.array([1.0])), 0.25)
+    np.testing.assert_allclose(res.z, [4.0])
+    with pytest.raises(EmptyBattery):
+        arbitrage(battery, PriceSeries(np.array([1.0])), 1.0)
 
 
 _LEVELS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])   # ties and zero prices
@@ -142,11 +150,7 @@ def arbitrage_cases(draw):
     t_high = t_low if draw(st.booleans()) else draw(st.floats(t_low, 1.4))
     e_low = min(e_min + t_low * (e_max - e_min), e_max)
     e_high = max(e_min + t_high * (e_max - e_min), e_min, e_low)
-    try:
-        battery = VirtualBattery(lo, hi, e_low, e_high)
-    except ValueError:
-        # the constructor checks the energy interval at one-hour slots
-        assume(False)
+    battery = VirtualBattery(lo, hi, e_low, e_high)
     return battery, PriceSeries(np.array(prices)), delta
 
 
@@ -334,6 +338,53 @@ def test_cli_verify_flags_corruption(tmp_path, capsys):
 def test_cli_missing_file_exit_4(capsys):
     assert main(["oracle", "--fleet", "/no/such/file.json",
                  "--profile", "/no/such/u.csv"]) == 4
+
+
+@pytest.fixture(scope="module")
+def small_tree_json(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("tree")
+    fleet_path = outdir / "fleet.json"
+    save_fleet(generate_fleet(6, 12, seed=3), fleet_path)
+    assert main(["aggregate", "--fleet", str(fleet_path),
+                 "--out", str(outdir / "tree.json"),
+                 "--battery", str(outdir / "battery.json"),
+                 "--group-size", "3", "--fanout", "2"]) == 0
+    write_profile(np.zeros(12), outdir / "zero.csv")
+    return outdir
+
+
+def _dispatch_exit(tree_path, outdir):
+    return main(["dispatch", "--tree", str(tree_path), "--profile",
+                 str(outdir / "zero.csv"), "--out", str(outdir / "sched.csv")])
+
+
+def test_cli_dispatch_truncated_tree_exit_4(small_tree_json, tmp_path, capsys):
+    text = (small_tree_json / "tree.json").read_text()
+    broken = tmp_path / "tree.json"
+    broken.write_text(text[:len(text) // 2])
+    assert _dispatch_exit(broken, small_tree_json) == 4
+    assert f"{broken}: line" in capsys.readouterr().err
+
+
+def test_cli_dispatch_tree_missing_field_exit_4(small_tree_json, tmp_path, capsys):
+    data = json.loads((small_tree_json / "tree.json").read_text())
+    del data["delta_h"]
+    broken = tmp_path / "tree.json"
+    broken.write_text(json.dumps(data))
+    assert _dispatch_exit(broken, small_tree_json) == 4
+    assert "missing field 'delta_h'" in capsys.readouterr().err
+
+
+def test_cli_arbitrage_inverted_power_bounds_exit_4(tmp_path, capsys):
+    batt_path = tmp_path / "battery.json"
+    data = VirtualBattery([0.0, 0.0], [1.0, 1.0], 0.5, 1.5).to_dict()
+    data["p_low"] = [2.0, 0.0]
+    batt_path.write_text(json.dumps(data))
+    prices_path = tmp_path / "lmp.csv"
+    write_prices(prices_path, [30.0, 20.0])
+    assert main(["arbitrage", "--battery", str(batt_path), "--prices",
+                 str(prices_path), "--out-profile", str(tmp_path / "p.csv")]) == 4
+    assert "p_low exceeds p_high" in capsys.readouterr().err
 
 
 def test_cli_demo_subprocess(tmp_path):

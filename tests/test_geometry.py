@@ -51,8 +51,6 @@ def test_battery_invariants():
     with pytest.raises(ValueError):
         VirtualBattery([1.0], [0.0], 0.0, 1.0)          # p_low > p_high
     with pytest.raises(ValueError):
-        VirtualBattery([0.0], [1.0], 2.0, 3.0)          # energy unreachable
-    with pytest.raises(ValueError):
         VirtualBattery([0.0], [1.0], 0.8, 0.2)          # inverted interval
 
 
@@ -167,13 +165,14 @@ def test_homothet_requires_positive_scale():
 
 def test_homothet_apply_battery_matches_polytope_route():
     rng = np.random.default_rng(3)
-    b = VirtualBattery([0.0, 0.2], [1.0, 2.0], 0.5, 2.5)
     h = Homothet(2.5, np.array([0.3, -0.1]))
-    via_battery = battery_to_hpolytope(homothet_apply_battery(h, b))
-    via_poly = homothet_apply(h, battery_to_hpolytope(b))
-    for _ in range(100):
-        x = rng.uniform(-1, 6, 2)
-        assert contains_point(via_battery, x) == contains_point(via_poly, x)
+    for delta in (1.0, 0.5, 0.25):
+        b = VirtualBattery([0.0, 0.2], [1.0, 2.0], 0.5 * delta, 2.5 * delta)
+        via_battery = battery_to_hpolytope(homothet_apply_battery(h, b, delta), delta)
+        via_poly = homothet_apply(h, battery_to_hpolytope(b, delta))
+        for _ in range(100):
+            x = rng.uniform(-1, 6, 2)
+            assert contains_point(via_battery, x) == contains_point(via_poly, x)
 
 
 # ----------------------------------------------------------------- lemma 1

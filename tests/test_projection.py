@@ -141,7 +141,7 @@ def test_opp3_example1_golden():
     sol = solve_opp3(EX1_LIFTED, nominal)
     assert sol.s == pytest.approx(1.125, abs=1e-6)
     assert sol.r[0] == pytest.approx(-2.75, abs=1e-6)
-    assert sol.u0[0] == pytest.approx(9.0, abs=1e-6)
+    assert sol.v[0] == pytest.approx(9.0, abs=1e-6)
     assert sol.lam == pytest.approx(8.0 / 9.0, abs=1e-6)
     assert sol.mu[0] == pytest.approx(22.0 / 9.0, abs=1e-6)
 
@@ -365,8 +365,9 @@ def test_app_ipm_failure_resolved_by_simplex(monkeypatch):
 
 
 def test_app_certificate_checked_after_solve(monkeypatch):
-    """A solver answer whose certificate does not hold is rejected as
-    EmptyOrDegenerate (so the fallback ladder runs), whatever its status."""
+    """A solver answer to either homothet LP whose certificate does not
+    hold is rejected as EmptyOrDegenerate (so the fallback ladder runs),
+    whatever its status."""
     nominal = battery_to_hpolytope(EX1_NOMINAL)
     real = lp.solve_lp
 
@@ -377,8 +378,9 @@ def test_app_certificate_checked_after_solve(monkeypatch):
         return replace(sol, x=x)
 
     monkeypatch.setattr(lp, "solve_lp", perturbed)
-    with pytest.raises(EmptyOrDegenerate, match="certificate"):
-        solve_app(EX1_LIFTED, nominal)
+    for solve in (solve_app, solve_opp3):
+        with pytest.raises(EmptyOrDegenerate, match="certificate"):
+            solve(EX1_LIFTED, nominal)
 
 
 # ------------------------------------------------------------ LP assembly

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -270,6 +270,13 @@ def synthesize_battery(node: TreeNode, m: int) -> VirtualBattery:
     return VirtualBattery(lo, hi, local.e_low, local.e_high)
 
 
+@cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """One pool per width for the process: new threads per stage may each take
+    a new malloc arena, which makes peak memory depend on thread timing."""
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="flexbat")
+
+
 def aggregate(fleet: Fleet, config: Optional[AggregateConfig] = None) -> AggregationTree:
     """Build the full aggregation tree and its root battery."""
     cfg = config or AggregateConfig()
@@ -283,10 +290,7 @@ def aggregate(fleet: Fleet, config: Optional[AggregateConfig] = None) -> Aggrega
                         "dimensionality but stays valid", len(rigid), rigid[0])
 
     groups = partition_fleet(fleet, cfg.group_size, cfg.policy, cfg.seed)
-    level: list[tuple[FlexUnit, TreeNode]] = []
-    stage = 0
     stage1_groups = len(groups)
-    stage1_cohorts = 0
 
     def run_stage(chunks: list[tuple[list[FlexUnit], list[TreeNode]]],
                   stage_no: int) -> list[tuple[FlexUnit, TreeNode]]:
@@ -310,11 +314,8 @@ def aggregate(fleet: Fleet, config: Optional[AggregateConfig] = None) -> Aggrega
             return _solve_chunk(f"s{stage_no}g{idx:03d}", units, children,
                                 spans[idx], shared[idx], key, delta)
 
-        if cfg.workers > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                solved_lists = list(pool.map(solve_one, range(len(chunks))))
-        else:
-            solved_lists = [solve_one(i) for i in range(len(chunks))]
+        run = _pool(cfg.workers).map if cfg.workers > 1 and len(chunks) > 1 else map
+        solved_lists = list(run(solve_one, range(len(chunks))))
 
         by_cohort: dict[tuple, list[AppNode]] = {}
         standalone: list[AppNode] = []

@@ -6,9 +6,8 @@ decomposition itself falls out of the aggregation tree.
 """
 
 from .aggregation import (AggregateConfig, AggregationTree, aggregate,
-                          bounds_report, dispatch, load_tree,
-                          partition_fleet, nominal_for_group, save_tree,
-                          synthesize_battery)
+                          dispatch, load_tree, partition_fleet,
+                          nominal_for_group, save_tree, synthesize_battery)
 from .cli import (ArbitrageResult, PriceSeries, arbitrage, baseline_immediate,
                   load_prices, run_pipeline)
 from .fleet import (ChargingTask, Fleet, GenProfile, admissible_polytope,

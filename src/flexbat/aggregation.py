@@ -13,6 +13,7 @@ profile into admissible per-task schedules.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -123,19 +124,6 @@ class AggregationTree:
     stage1_groups: int
     stage1_cohorts: int
     config: dict
-
-    def leaf_ids(self) -> list[str]:
-        out: list[str] = []
-
-        def walk(node: TreeNode) -> None:
-            if isinstance(node, Leaf):
-                out.append(node.task_id)
-            else:
-                for child in node.children:
-                    walk(child)
-
-        walk(self.root)
-        return out
 
     @cached_property
     def _dispatch_plan(self) -> "_DispatchPlan":
@@ -383,82 +371,130 @@ class DispatchResult:
 
 
 @dataclass(frozen=True)
-class _CohortStep:
-    """A cohort node's split: child z = ratio * (z - mu) + child mu."""
+class _Level:
+    """One depth of the tree as index arrays into dispatch's scratch vector."""
 
-    label: str
-    cols: np.ndarray                   # node coords as 0-based slots
-    mu: np.ndarray
-    children: tuple[tuple[float, np.ndarray, "_Step"], ...]
-
-
-@dataclass(frozen=True)
-class _AppStep:
-    """An app node's split as index arrays over its flat unit entries
-    (unit-major, slot-ascending, as in `EliminationMap.gather_plan`)."""
-
-    label: str
-    cols: np.ndarray                   # node coords as 0-based slots
-    node: AppNode
-    lo: np.ndarray                     # concatenated unit bounds
+    rules: tuple[tuple[AppSolution, slice, slice], ...]   # (rule, z, u_tilde) per app node
+    gather: np.ndarray        # (1 + k) x entries: `gather_plan` rows, side by side
+    entries: slice            # app nodes' unit entries (unit-major, slot-ascending)
+    lo: np.ndarray            # their unit bounds
     hi: np.ndarray
-    entry_unit: tuple[int, ...]        # unit index of each entry
-    entry_slot: tuple[int, ...]        # global slot of each entry
-    leaf_src: np.ndarray               # entries that are leaf schedule cells
-    leaf_dest: np.ndarray              # their flat index into the N x m schedule
-    inner: tuple[tuple[int, np.ndarray, "_Step"], ...]   # (unit, gather, child)
-
-
-_Step = Union[_AppStep, _CohortStep]
+    cohort: tuple[np.ndarray, ...]   # cohort children's z: src, dst, ratio, mu, child mu
+    inner_src: np.ndarray     # app nodes' inner children's z, gathered from entries
+    inner_dst: np.ndarray
 
 
 @dataclass(frozen=True)
 class _DispatchPlan:
+    """Dispatch by depth over one scratch vector: every unit entry, every
+    node's z, every app node's u_tilde and a last 0.0 that padding reads."""
+
     task_ids: tuple[str, ...]
-    root: _Step
+    labels: tuple[str, ...]            # nodes in pre-order
+    size: int
+    root_cols: np.ndarray              # root coords as 0-based slots
+    root_z: np.ndarray                 # buffer indices of the root's z
     off_span: np.ndarray               # slots outside the root's coords
-
-
-def _compile_step(node: TreeNode, m: int, row_of: dict[str, int]) -> _Step:
-    cols = np.asarray(node.coords, dtype=np.intp) - 1
-    if isinstance(node, CohortNode):
-        lam = node.lam
-        return _CohortStep(node.label, cols, node.mu, tuple(
-            (child.lam / lam, child.mu, _compile_step(child, m, row_of))
-            for child in node.children))
-    starts = np.concatenate([[0], np.cumsum([len(un.active) for un in node.units])])
-    leaf_src: list[int] = []
-    leaf_dest: list[int] = []
-    inner = []
-    for i, (child, unit) in enumerate(zip(node.children, node.units)):
-        entries = range(starts[i], starts[i + 1])
-        if isinstance(child, Leaf):
-            row = row_of[child.task_id]
-            leaf_src.extend(entries)
-            leaf_dest.extend(row * m + t - 1 for t in unit.active)
-        else:
-            # slots of the child's span that the unit does not draw in read
-            # the 0.0 appended after the last entry
-            at = dict(zip(unit.active, entries))
-            gather = np.array([at.get(t, starts[-1]) for t in child.coords], dtype=np.intp)
-            inner.append((i, gather, _compile_step(child, m, row_of)))
-    return _AppStep(
-        label=node.label, cols=cols, node=node,
-        lo=np.concatenate([un.lo for un in node.units]),
-        hi=np.concatenate([un.hi for un in node.units]),
-        entry_unit=tuple(i for i, un in enumerate(node.units) for _ in un.active),
-        entry_slot=tuple(t for un in node.units for t in un.active),
-        leaf_src=np.asarray(leaf_src, dtype=np.intp),
-        leaf_dest=np.asarray(leaf_dest, dtype=np.intp),
-        inner=tuple(inner))
+    levels: tuple[_Level, ...]
+    zs: slice                          # every node's z, level by level
+    profile_dest: np.ndarray           # their flat index into the nodes x m profiles
+    leaf_src: np.ndarray               # entries that are leaf schedule cells
+    leaf_dest: np.ndarray              # their flat index into the N x m schedule
+    rank: tuple[int, ...]              # walk-order rank of each entry
+    names: tuple[tuple[str, int], ...]   # (unit origin, global slot) of each entry
 
 
 def _compile(tree: AggregationTree) -> _DispatchPlan:
-    ids = tuple(tree.leaf_ids())
-    root = _compile_step(tree.root, tree.m, {tid: k for k, tid in enumerate(ids)})
-    off = np.ones(tree.m, dtype=bool)
-    off[root.cols] = False
-    return _DispatchPlan(task_ids=ids, root=root, off_span=off)
+    m = tree.m
+    nodes: list[TreeNode] = []                  # non-leaf nodes in pre-order
+    kids: list[list[Optional[int]]] = []        # each child's pre-order index, None for a leaf
+    ranks: dict[int, list[int]] = {}            # app node -> walk-order rank of each entry
+    ticket = itertools.count()
+    row_of: dict[str, int] = {}                 # schedule row of each task, leaves in pre-order
+
+    def visit(node: TreeNode) -> Optional[int]:
+        if isinstance(node, Leaf):
+            row_of[node.task_id] = len(row_of)
+            return None
+        k = len(nodes)
+        nodes.append(node)
+        kids.append([])
+        for i, child in enumerate(node.children):
+            if isinstance(node, AppNode):       # a unit's entries rank before its subtree
+                ranks.setdefault(k, []).extend(next(ticket) for _ in node.units[i].active)
+            kids[k].append(visit(child))
+        return k
+
+    visit(tree.root)
+    n_entries = sum(map(len, ranks.values()))
+    # scratch layout: entries, then z, then u_tilde, each level by level, then the 0.0
+    cursor = {"z": n_entries, "u_tilde": n_entries + sum(len(nd.coords) for nd in nodes)}
+    pad = cursor["u_tilde"] + sum(nodes[k].elim.m_tilde for k in ranks)
+
+    def take(part: str, size: int) -> np.ndarray:
+        cursor[part] += size
+        return np.arange(cursor[part] - size, cursor[part])
+
+    zat = {0: take("z", len(tree.root.coords))}
+    levels: list[_Level] = []
+    order: list[int] = []                       # nodes level by level
+    leaf_src: list[int] = []
+    leaf_dest: list[int] = []
+    level, e = [0], 0
+    while level:
+        order += level
+        rules, gathers, units, cohort, inner_src, inner_dst = [], [], [], [], [], []
+        first = e
+        for k in level:
+            node = nodes[k]
+            for c in kids[k]:
+                if c is not None:
+                    zat[c] = take("z", len(nodes[c].coords))
+            if isinstance(node, CohortNode):
+                cohort.extend((zat[k], zat[c], np.full(len(child.coords), child.lam / node.lam),
+                               node.mu, child.mu) for c, child in zip(kids[k], node.children))
+                continue
+            units += node.units
+            ut = take("u_tilde", node.elim.m_tilde)
+            if ut.size:
+                rules.append((node.app, slice(zat[k][0], zat[k][-1] + 1),
+                              slice(ut[0], ut[-1] + 1)))
+            gathers.append(np.concatenate([zat[k], ut, [pad]])[node.elim.gather_plan[0]])
+            for c, child, unit in zip(kids[k], node.children, node.units):
+                cells = range(e, e + len(unit.active))
+                e += len(unit.active)
+                if c is None:
+                    leaf_src.extend(cells)
+                    leaf_dest.extend(row_of[child.task_id] * m + t - 1 for t in unit.active)
+                else:
+                    # slots of the child's span the unit does not draw in read the 0.0
+                    cell = dict(zip(unit.active, cells))
+                    inner_src.extend(cell.get(t, pad) for t in child.coords)
+                    inner_dst.extend(zat[c])
+        rows = max((len(g) for g in gathers), default=1)
+        gather = np.hstack([np.pad(g, ((0, rows - len(g)), (0, 0)), constant_values=pad)
+                            for g in gathers] or [np.zeros((1, 0), dtype=np.intp)])
+        levels.append(_Level(
+            rules=tuple(rules), gather=gather, entries=slice(first, e),
+            lo=np.array([v for un in units for v in un.lo]),
+            hi=np.array([v for un in units for v in un.hi]),
+            cohort=tuple(map(np.concatenate, zip(*cohort))),
+            inner_src=np.asarray(inner_src, dtype=np.intp),
+            inner_dst=np.asarray(inner_dst, dtype=np.intp)))
+        level = [c for k in level for c in kids[k] if c is not None]
+    root_cols = np.asarray(tree.root.coords, dtype=np.intp) - 1
+    off = np.ones(m, dtype=bool)
+    off[root_cols] = False
+    return _DispatchPlan(
+        task_ids=tuple(row_of), labels=tuple(nd.label for nd in nodes), size=pad + 1,
+        root_cols=root_cols, root_z=zat[0], off_span=off, levels=tuple(levels),
+        zs=slice(n_entries, cursor["z"]),
+        profile_dest=np.concatenate([k * m + np.asarray(nodes[k].coords) - 1 for k in order]),
+        leaf_src=np.asarray(leaf_src, dtype=np.intp),
+        leaf_dest=np.asarray(leaf_dest, dtype=np.intp),
+        rank=tuple(r for k in order if k in ranks for r in ranks[k]),
+        names=tuple((un.origin, t) for k in order if k in ranks
+                    for un in nodes[k].units for t in un.active))
 
 
 def dispatch(tree: AggregationTree, u: np.ndarray, tol: float = 1e-6) -> DispatchResult:
@@ -466,10 +502,16 @@ def dispatch(tree: AggregationTree, u: np.ndarray, tol: float = 1e-6) -> Dispatc
 
     Violations up to `tol` (solver noise) are clamped onto the admissible
     bounds and recorded in `clamped`, in walk order: depth first, a unit's
-    own entries before those of its subtree. Anything larger raises, since
-    the tree's certificates should make it impossible. The walk runs on an
-    index plan compiled from the tree on its first dispatch and cached on
-    the tree object (never saved with it).
+    own entries before those of its subtree. Anything larger raises, naming
+    the first such entry in walk order, since the tree's certificates should
+    make it impossible. The tree is split one level at a time: each app
+    node on the level applies its decision rule, then a few array operations
+    rebuild, clamp and hand down the units' powers of the whole level. The
+    index plan for this is compiled from the tree on its first dispatch and
+    cached on the tree object (never saved with it). Every output byte is
+    that of a node-by-node walk: the matrix-vector product stays per node,
+    and every other step is elementwise or subtracts rows in the walk's
+    order.
     """
     u = np.asarray(u, dtype=float).ravel()
     if u.size != tree.m:
@@ -482,53 +524,32 @@ def dispatch(tree: AggregationTree, u: np.ndarray, tol: float = 1e-6) -> Dispatc
     if np.any(np.abs(u[plan.off_span]) > tol):
         raise NotInBattery("profile draws power outside the aggregated span")
     m = tree.m
-    flat = np.zeros(len(plan.task_ids) * m)
-    profiles: dict[str, np.ndarray] = {}
-    clamp_log: list[tuple[str, int, float]] = []
-
-    def log_clamp(step: _AppStep, e: int, moved: np.ndarray) -> None:
-        label = step.node.units[step.entry_unit[e]].origin
-        slot = step.entry_slot[e]
+    buf = np.zeros(plan.size)
+    raw = np.empty(len(plan.rank))          # entries before the clamp
+    buf[plan.root_z] = u[plan.root_cols]
+    for lv in plan.levels:
+        for app, z, ut in lv.rules:
+            buf[ut] = app.rule_apply(buf[z])
+        np.subtract.reduce(buf[lv.gather], axis=0, out=raw[lv.entries])
+        raw[lv.entries].clip(lv.lo, lv.hi, out=buf[lv.entries])
+        if lv.cohort:
+            src, dst, ratio, mu, child_mu = lv.cohort
+            buf[dst] = ratio * (buf[src] - mu) + child_mu
+        buf[lv.inner_dst] = buf[lv.inner_src]
+    moved = np.abs(buf[:raw.size] - raw)
+    clamped = []
+    for e in sorted((moved > 0).nonzero()[0].tolist(), key=plan.rank.__getitem__):
+        label, slot = plan.names[e]
         if moved[e] > tol:
-            raise DispatchInfeasible(
-                f"{label}: slot {slot} violates bounds by {moved[e]:.3e}")
-        clamp_log.append((label, slot, float(moved[e])))
-
-    def walk(step: _Step, z: np.ndarray) -> None:
-        profile = np.zeros(m)
-        profile[step.cols] = z
-        profiles[step.label] = profile
-        if isinstance(step, _CohortStep):
-            for ratio, mu, child in step.children:
-                walk(child, ratio * (z - step.mu) + mu)
-            return
-        node = step.node
-        values = node.elim.reconstruct_flat(z, node.app.rule_apply(z))
-        out = values.clip(step.lo, step.hi)
-        moved = np.abs(out - values)
-        hits = (moved > 0).nonzero()[0].tolist()
-        flat[step.leaf_dest] = out[step.leaf_src]
-        if step.inner:
-            padded = np.append(out, 0.0)
-            h = 0
-            for i, gather, child in step.inner:
-                while h < len(hits) and step.entry_unit[hits[h]] <= i:
-                    log_clamp(step, hits[h], moved)
-                    h += 1
-                walk(child, padded[gather])
-            hits = hits[h:]
-        for e in hits:
-            log_clamp(step, e, moved)
-
-    walk(plan.root, u[plan.root.cols])
-    return DispatchResult(task_ids=plan.task_ids, schedule=flat.reshape(-1, m),
-                          group_profiles=profiles, clamped=tuple(clamp_log))
-
-
-def bounds_report(battery: VirtualBattery) -> np.ndarray:
-    """Rows (t, p_low, p_high), one per slot, ready for CSV/plotting."""
-    slots = np.arange(1, battery.m + 1, dtype=float)
-    return np.column_stack([slots, battery.p_low, battery.p_high])
+            raise DispatchInfeasible(f"{label}: slot {slot} violates bounds by {moved[e]:.3e}")
+        clamped.append((label, slot, float(moved[e])))
+    schedule = np.zeros(len(plan.task_ids) * m)
+    schedule[plan.leaf_dest] = buf[plan.leaf_src]
+    profiles = np.zeros(len(plan.labels) * m)
+    profiles[plan.profile_dest] = buf[plan.zs]
+    return DispatchResult(task_ids=plan.task_ids, schedule=schedule.reshape(-1, m),
+                          group_profiles=dict(zip(plan.labels, profiles.reshape(-1, m))),
+                          clamped=tuple(clamped))
 
 
 def _node_to_dict(node: TreeNode, with_certificates: bool) -> dict:

@@ -152,10 +152,12 @@ class VirtualBattery:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VirtualBattery":
+        """A wrong value raises ValueError, which `read_json` reports as a
+        parse error naming the file."""
         b = cls(np.asarray(d["p_low"], float), np.asarray(d["p_high"], float),
                 float(d["e_low_kwh"]), float(d["e_high_kwh"]))
         if b.m != int(d["m"]):
-            raise DimensionMismatch("battery 'm' disagrees with bound vectors")
+            raise ValueError("battery 'm' disagrees with bound vectors")
         return b
 
 

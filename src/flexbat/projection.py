@@ -146,46 +146,38 @@ class EliminationMap:
         return {pair: q for q, pair in enumerate(self.utilde)}
 
     @cached_property
-    def gather_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def gather_plan(self) -> tuple[np.ndarray, np.ndarray]:
         """Index form of `reconstruct` over x = [z; u_tilde; 0.0].
 
-        Entries run unit-major, slot-ascending. `base[e]` is the x index an
-        entry starts from. Row c of `subs` is the c-th u_tilde column each
-        eliminated entry subtracts (the others in `n_t` order), padded with
-        the index of the trailing 0.0, so subtracting row by row repeats
-        the scalar sequence bit for bit. `splits` cut the entries per unit.
+        Entries run unit-major, slot-ascending, one column each. Row 0 of
+        `index` is the x index an entry starts from; row c >= 1 is the c-th
+        u_tilde column each eliminated entry subtracts (the others in `n_t`
+        order), padded with the index of the trailing 0.0, so subtracting
+        row by row repeats the scalar sequence bit for bit. `splits` cut
+        the entries per unit.
         """
         m, pad = self.m, self.m + self.m_tilde
-        base: list[int] = []
-        subs: list[list[int]] = []
+        rows: list[list[int]] = []
         for i, active in enumerate(self.unit_active):
             for t in active:
                 tk = self.coord_index[t]
                 if self.j_t[tk] == i:
-                    base.append(tk)
-                    subs.append([m + self.utilde_index[(other, t)]
-                                 for other in self.n_t[tk] if other != i])
+                    rows.append([tk] + [m + self.utilde_index[(other, t)]
+                                        for other in self.n_t[tk] if other != i])
                 else:
-                    base.append(m + self.utilde_index[(i, t)])
-                    subs.append([])
-        sub_idx = np.full((max(map(len, subs), default=0), len(base)), pad, dtype=np.intp)
-        for e, cols in enumerate(subs):
-            sub_idx[:len(cols), e] = cols
+                    rows.append([m + self.utilde_index[(i, t)]])
+        index = np.full((max(map(len, rows), default=1), len(rows)), pad, dtype=np.intp)
+        for e, cols in enumerate(rows):
+            index[:len(cols), e] = cols
         splits = np.cumsum([len(active) for active in self.unit_active])[:-1]
-        return np.asarray(base, dtype=np.intp), sub_idx, splits
-
-    def reconstruct_flat(self, z: np.ndarray, utilde_vals: np.ndarray) -> np.ndarray:
-        """All units' profiles from (u, u_tilde), concatenated unit-major."""
-        base, subs, _ = self.gather_plan
-        x = np.concatenate([z, utilde_vals, _PAD_ZERO])
-        val = x[base]
-        for cols in subs:
-            val = val - x[cols]
-        return val
+        return index, splits
 
     def reconstruct(self, z: np.ndarray, utilde_vals: np.ndarray) -> list[np.ndarray]:
-        """Per-unit profiles over each unit's active slots from (u, u_tilde)."""
-        return np.split(self.reconstruct_flat(z, utilde_vals), self.gather_plan[2])
+        """Per-unit profiles over each unit's active slots from (u, u_tilde):
+        one gather, then the rows subtracted in order, as dispatch does."""
+        index, splits = self.gather_plan
+        x = np.concatenate([z, utilde_vals, _PAD_ZERO])
+        return np.split(np.subtract.reduce(x[index], axis=0), splits)
 
     def to_dict(self) -> dict:
         return {

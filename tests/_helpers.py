@@ -159,6 +159,15 @@ def _embed(values: np.ndarray, coords, m: int) -> np.ndarray:
     return out
 
 
+def leaf_ids(node):
+    """Task ids of the leaves below `node`, depth first."""
+    if isinstance(node, Leaf):
+        yield node.task_id
+    else:
+        for child in node.children:
+            yield from leaf_ids(child)
+
+
 def dispatch_reference(tree: AggregationTree, u: np.ndarray,
                        tol: float = 1e-6) -> DispatchResult:
     """Reference for `dispatch`: the tree walked node by node, unit by unit."""
@@ -207,10 +216,16 @@ def dispatch_reference(tree: AggregationTree, u: np.ndarray,
     if np.any(np.abs(u[off]) > tol):
         raise NotInBattery("profile draws power outside the aggregated span")
     walk(root, z_root)
-    ids = tuple(tree.leaf_ids())
+    ids = tuple(leaf_ids(tree.root))
     schedule = np.vstack([rows[tid] for tid in ids])
     return DispatchResult(task_ids=ids, schedule=schedule,
                           group_profiles=profiles, clamped=tuple(clamp_log))
+
+
+def bounds_report(battery: VirtualBattery) -> np.ndarray:
+    """Rows (t, p_low, p_high), one per slot, ready for CSV/plotting."""
+    slots = np.arange(1, battery.m + 1, dtype=float)
+    return np.column_stack([slots, battery.p_low, battery.p_high])
 
 
 def build_app_reference(lifted: LiftedPolytope, nominal: HPolytope) -> lp.LpProblem:

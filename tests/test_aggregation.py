@@ -6,11 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _helpers import dispatch_reference, fleet_order_schedule
+from _helpers import bounds_report, dispatch_reference, fleet_order_schedule
 from flexbat import aggregation
 from flexbat.aggregation import (AggregateConfig, AggregationTree, AppNode,
-                                 CohortNode, Leaf, aggregate, bounds_report,
-                                 dispatch, load_tree, nominal_for_group,
+                                 CohortNode, Leaf, aggregate, dispatch,
+                                 load_tree, nominal_for_group,
                                  partition_fleet, save_tree,
                                  synthesize_battery, tree_from_dict,
                                  tree_to_dict)
@@ -18,7 +18,7 @@ from flexbat.cli import (PriceSeries, arbitrage, demo_price_curve, main,
                          save_battery)
 from flexbat.errors import (DispatchInfeasible, EmptyOrDegenerate, FlexError,
                             NotInBattery, ValidationError)
-from flexbat.fleet import ChargingTask, Fleet, generate_fleet
+from flexbat.fleet import ChargingTask, Fleet, GenProfile, generate_fleet
 from flexbat.geometry import VirtualBattery
 from flexbat.oracle import adequacy_lp, validate_schedule
 from flexbat.projection import solve_app
@@ -429,6 +429,84 @@ def _dicts(node):
     yield node
     for child in node.get("children", []):
         yield from _dicts(child)
+
+
+def _leaf_depths(node, depth=0):
+    if isinstance(node, Leaf):
+        yield depth
+    else:
+        for child in node.children:
+            yield from _leaf_depths(child, depth + 1)
+
+
+@pytest.mark.parametrize("shape", ["cohort_root", "uneven_depths"])
+def test_dispatch_matches_reference_on_tree_shapes(shape):
+    """Shapes a by-depth plan groups differently from the walk: a cohort
+    root (a common-window fleet in one stage), and leaves at unequal depths
+    below four or more levels of nodes. Every output byte, the clamp log
+    and any error match the reference walk, at tol = 1e-6 and 0."""
+    if shape == "cohort_root":
+        common = GenProfile(arrival_mean=2, arrival_sigma=0.01, stay_min=4, stay_max=4)
+        fleet = generate_fleet(12, 8, seed=1, profile=common)
+        tree = aggregate(fleet, AggregateConfig(group_size=4, fanout=3))
+        assert isinstance(tree.root, CohortNode) and len(tree.root.children) == 3
+    else:
+        fleet = generate_fleet(16, 12, seed=0)
+        tree = aggregate(fleet, AggregateConfig(group_size=2, fanout=2))
+        depths = set(_leaf_depths(tree.root))
+        assert len(depths) > 1 and min(depths) >= 4
+    batt = tree.battery
+    rng = np.random.default_rng(6)
+    prices = demo_price_curve(fleet.m).prices
+    profiles = [*sample_battery(batt, 6, seed=5),
+                greedy_profile(batt, batt.e_low, order="late"),
+                greedy_profile(batt, batt.e_high, order="early"),
+                *(arbitrage(batt, PriceSeries(prices * (1 + 0.3 * rng.standard_normal(fleet.m)))).z
+                  for _ in range(4))]
+    for u in profiles:
+        for tol in (1e-6, 0.0):
+            assert (_dispatch_outcome(dispatch, tree, u, tol)
+                    == _dispatch_outcome(dispatch_reference, tree, u, tol))
+
+
+def test_dispatch_error_order_across_levels():
+    """Two units in a saved tree narrowed below what a profile routes to
+    them: a deep leaf that comes first in walk order, and the root's last
+    unit, which is shallower and comes later but sits on the level a
+    by-depth plan clamps first. Dispatch names the unit and slot the
+    reference walk names: the deep one when both are narrowed."""
+    fleet = generate_fleet(16, 12, seed=0)
+    tree = aggregate(fleet, AggregateConfig(group_size=2, fanout=2))
+    u = sample_battery(tree.battery, 1, seed=1)[0]
+    res = dispatch(tree, u)
+    d = tree_to_dict(tree)
+    root = d["root"]
+    assert root["kind"] == "app" and len(root["children"]) > 1
+    shallow = root["units"][-1]
+    shallow_z = res.group_profiles[root["children"][-1]["label"]]
+    deep_tid = res.task_ids[0]
+    deep = next(un for node in _dicts(root) if node["kind"] == "app"
+                for un in node["units"] if un["origin"] == deep_tid)
+    assert next(_leaf_depths(tree.root)) >= 4      # deep_tid's depth
+
+    def narrow(unit, values):
+        """hi cut to 1e-3 below the routed power, in the slot nearest hi."""
+        gap = [h - v if v > lo + 2e-3 else np.inf
+               for v, lo, h in zip(values, unit["lo"], unit["hi"])]
+        k = int(np.argmin(gap))
+        unit["hi"][k] = values[k] - 1e-3
+        return unit["active"][k]
+
+    shallow_slot = narrow(shallow, [shallow_z[t - 1] for t in shallow["active"]])
+    with pytest.raises(DispatchInfeasible,
+                       match=f"^{shallow['origin']}: slot {shallow_slot} violates"):
+        dispatch(tree_from_dict(d), u)
+    deep_slot = narrow(deep, [res.schedule[0][t - 1] for t in deep["active"]])
+    edited = tree_from_dict(d)
+    with pytest.raises(DispatchInfeasible, match=f"^{deep_tid}: slot {deep_slot} violates"):
+        dispatch(edited, u)
+    assert (_dispatch_outcome(dispatch, edited, u, 1e-6)
+            == _dispatch_outcome(dispatch_reference, edited, u, 1e-6))
 
 
 def test_dispatch_plan_stays_out_of_saved_files(tmp_path):

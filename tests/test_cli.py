@@ -387,6 +387,29 @@ def test_cli_arbitrage_inverted_power_bounds_exit_4(tmp_path, capsys):
     assert "p_low exceeds p_high" in capsys.readouterr().err
 
 
+def test_cli_arbitrage_battery_m_mismatch_exit_4(tmp_path, capsys):
+    """A battery file whose `m` disagrees with its bound vectors is a parse
+    error that names the file."""
+    batt_path = tmp_path / "battery.json"
+    data = VirtualBattery(np.zeros(24), np.ones(24), 2.0, 10.0).to_dict()
+    data["m"] = 23
+    batt_path.write_text(json.dumps(data))
+    prices_path = tmp_path / "lmp.csv"
+    write_prices(prices_path, np.linspace(20.0, 40.0, 24))
+    assert main(["arbitrage", "--battery", str(batt_path), "--prices",
+                 str(prices_path), "--out-profile", str(tmp_path / "p.csv")]) == 4
+    assert f"{batt_path}: battery 'm' disagrees" in capsys.readouterr().err
+
+
+def test_cli_dispatch_tree_battery_m_mismatch_exit_4(small_tree_json, tmp_path, capsys):
+    data = json.loads((small_tree_json / "tree.json").read_text())
+    data["battery"]["m"] = 11
+    broken = tmp_path / "tree.json"
+    broken.write_text(json.dumps(data))
+    assert _dispatch_exit(broken, small_tree_json) == 4
+    assert f"{broken}: battery 'm' disagrees" in capsys.readouterr().err
+
+
 def test_cli_demo_subprocess(tmp_path):
     """The installed console entry point runs the tiny demo end to end."""
     outdir = tmp_path / "demo"

@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import (BadProfile, InfeasibleTask, LengthMismatch, ParseError,
-                     ValidationError)
+from .errors import (BadProfile, DimensionMismatch, InfeasibleTask, LengthMismatch,
+                     ParseError, ValidationError)
 from .geometry import HPolytope
 
 
@@ -216,8 +216,8 @@ def write_json(path: str, data: dict) -> None:
 
 def read_json(path: str, build: Callable[[dict], T]) -> T:
     """`build` applied to a JSON file's content. Malformed JSON, and content
-    `build` cannot use (a missing field, a wrong type or value), raise
-    ParseError naming the file."""
+    `build` cannot use (a missing field, a wrong type or value, vectors of
+    unequal lengths), raise ParseError naming the file."""
     try:
         with open(path) as fh:
             return build(json.load(fh))
@@ -225,7 +225,7 @@ def read_json(path: str, build: Callable[[dict], T]) -> T:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, DimensionMismatch, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

@@ -7,23 +7,29 @@ Problems are stated as
                 a_eq @ x == b_eq
                 lower <= x <= upper   (entries may be -inf / +inf)
 
-backed by the HiGHS solver through scipy. HiGHS is deterministic for
-identical input bytes, which the demo pipeline relies on. Infeasibility
-can be certified on demand by solving the Farkas alternative system
-explicitly (`farkas_certificate`).
+and solved by HiGHS through its own Python binding, the `_core` extension
+that scipy ships in `scipy/optimize/_highspy/`. The binding is loaded from
+that file directly: importing `scipy.optimize` would load scipy.special,
+fft, linalg and spatial as well, most of a process's start-up time and a
+quarter of its memory. `linprog` hands HiGHS the model and options that
+`scipy.optimize.linprog` would, so both return the same bytes. HiGHS is
+deterministic for identical input bytes, which the demo pipeline relies on.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import sys
 import threading
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import Callable, Optional, Union
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .errors import MalformedProblem, SolverFailure
 
@@ -45,6 +51,36 @@ _dump_dir: Optional[str] = None
 _dump_counter = itertools.count()
 _dump_lock = threading.Lock()
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs(directory: str):
+    """Load HiGHS's binding from its file in `directory`.
+
+    No package `__init__` runs. The module is registered under its own name,
+    so a later `import scipy.optimize` reuses it instead of loading it again.
+    """
+    finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_HIGHS_MODULE)
+    if spec is None:
+        raise ImportError(f"HiGHS binding {_HIGHS_MODULE} not found in {directory} "
+                          f"(scipy {scipy.__version__}; flexbat needs scipy>=1.17.1)")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_HIGHS_MODULE] = module
+    return module
+
+
+_highs = sys.modules.get(_HIGHS_MODULE) or _load_highs(
+    os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy"))
+_ERROR = _highs.HighsStatus.kError
+#: HiGHS model status -> scipy's status code; any other status is 4
+_STATUS = {_highs.HighsModelStatus.kOptimal: 0, _highs.HighsModelStatus.kModelError: 2,
+           _highs.HighsModelStatus.kInfeasible: 2, _highs.HighsModelStatus.kUnbounded: 3}
+#: an optimal x that misses a row or bound by more than this is status 4
+#: (scipy.optimize.linprog's own check, at its default tol of 1e-9)
+_CHECK_TOL = np.sqrt(1e-9) * 10
+
 
 def set_dump_dir(path: Optional[str]) -> None:
     """Enable (or disable, with None) text dumps of every solved LP."""
@@ -57,17 +93,7 @@ def set_dump_dir(path: Optional[str]) -> None:
 def _as_2d(a: Optional[Matrix]) -> Optional[Matrix]:
     if a is None:
         return None
-    if sp.issparse(a):
-        return a.tocsr()
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        arr = np.atleast_2d(arr)
-    return arr
-
-
-def _finite(a: Matrix) -> bool:
-    data = a.data if sp.issparse(a) else a
-    return bool(np.isfinite(data).all())
+    return a.tocsr() if sp.issparse(a) else np.atleast_2d(np.asarray(a, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -105,7 +131,8 @@ class LpProblem:
             if mat.shape[0] != vec.size:
                 raise MalformedProblem(
                     f"{mat_name} has {mat.shape[0]} rows, {vec_name} has {vec.size}")
-            if not _finite(mat) or not np.isfinite(vec).all():
+            if not (np.isfinite(mat.data if sp.issparse(mat) else mat).all()
+                    and np.isfinite(vec).all()):
                 raise MalformedProblem(f"{mat_name}/{vec_name} has non-finite entries")
             object.__setattr__(self, mat_name, mat)
             object.__setattr__(self, vec_name, vec)
@@ -143,9 +170,75 @@ class FeasibilityResult:
         return self.feasible
 
 
-def _scipy_bounds(problem: LpProblem) -> np.ndarray:
-    """(n, 2) bounds array; scipy reads -inf / +inf as no bound."""
-    return np.column_stack([problem.lower, problem.upper])
+@dataclass
+class HighsResult:
+    """One HiGHS solve in `scipy.optimize.linprog`'s terms: `status` 0
+    optimal, 2 infeasible, 3 unbounded, 4 otherwise; `nit` counts simplex
+    iterations, else interior-point ones. x, fun and the marginals are set
+    only at status 0."""
+
+    status: int
+    message: str
+    nit: int = 0
+    crossover_nit: Optional[int] = None
+    x: Optional[np.ndarray] = None
+    fun: Optional[float] = None
+    ineq_marginals: Optional[np.ndarray] = None
+    eq_marginals: Optional[np.ndarray] = None
+    lower_marginals: Optional[np.ndarray] = None
+    upper_marginals: Optional[np.ndarray] = None
+
+
+def linprog(c: np.ndarray, A_ub: Optional[Matrix] = None, b_ub: Optional[np.ndarray] = None,
+            A_eq: Optional[Matrix] = None, b_eq: Optional[np.ndarray] = None, *,
+            lower: np.ndarray, upper: np.ndarray, method: str = SIMPLEX,
+            primal_tol: float, dual_tol: float) -> HighsResult:
+    """Minimize c @ x s.t. A_ub @ x <= b_ub, A_eq @ x == b_eq, lower <= x <= upper.
+
+    HiGHS gets one CSC matrix, A_ub over A_eq, with presolve on and dual
+    simplex; SIMPLEX lets HiGHS choose its solver, IPM runs interior point
+    with crossover.
+    """
+    b_ub, b_eq = (np.zeros(0) if b is None else b for b in (b_ub, b_eq))
+    n_ub, rhs = b_ub.size, np.concatenate([b_ub, b_eq])
+    a = sp.vstack([sp.coo_array((0, c.size) if m is None else m) for m in (A_ub, A_eq)],
+                  format="csc", dtype=float)
+    model, highs = _highs.HighsLp(), _highs._Highs()
+    mat = model.a_matrix_
+    model.num_col_ = mat.num_col_ = c.size
+    model.num_row_ = mat.num_row_ = rhs.size
+    mat.format_, mat.start_, mat.index_, mat.value_ = (
+        _highs.MatrixFormat.kColwise, a.indptr, a.indices, a.data)
+    model.col_cost_, model.col_lower_, model.col_upper_ = c, lower, upper
+    model.row_lower_, model.row_upper_ = np.concatenate([np.full(n_ub, -np.inf), b_eq]), rhs
+    for key, value in (("output_flag", False), ("presolve", "on"), ("simplex_strategy", 1),
+                       ("solver", "ipm" if method == IPM else "choose"),
+                       ("primal_feasibility_tolerance", primal_tol),
+                       ("dual_feasibility_tolerance", dual_tol)):
+        highs.setOptionValue(key, value)
+    loaded = highs.passModel(model) != _ERROR
+    ran = loaded and highs.run() != _ERROR
+    state = highs.getModelStatus() if loaded else _highs.HighsModelStatus.kModelError
+    info, status = highs.getInfo(), _STATUS.get(state, 4)
+    res = HighsResult(status if ran or status else 4,  # optimal only after a full run
+                      f"HiGHS Status {int(state)}: {highs.modelStatusToString(state)}",
+                      (info.simplex_iteration_count or info.ipm_iteration_count) if ran else 0,
+                      info.crossover_iteration_count if ran else None)
+    if res.status != 0:
+        return res
+    sol, fun = highs.getSolution(), info.objective_function_value
+    x, slack = np.array(sol.col_value), rhs - np.array(sol.row_value)
+    if (np.isnan(fun) or not ((x >= lower - _CHECK_TOL) & (x <= upper + _CHECK_TOL)).all()
+            or not (slack[:n_ub] >= -_CHECK_TOL).all()
+            or not (np.abs(slack[n_ub:]) <= _CHECK_TOL).all()):
+        res.status, res.message = 4, f"optimal x misses the constraints by over {_CHECK_TOL:.2E}"
+        return res
+    col_dual, row_dual = np.array(sol.col_dual), np.array(sol.row_dual)
+    basis = np.asarray(highs.getBasis().col_status, dtype=np.int8)
+    res.x, res.fun, res.ineq_marginals, res.eq_marginals = x, fun, row_dual[:n_ub], row_dual[n_ub:]
+    res.lower_marginals, res.upper_marginals = (np.where(basis == int(b), col_dual, 0.0) for b in (
+        _highs.HighsBasisStatus.kLower, _highs.HighsBasisStatus.kUpper))
+    return res
 
 
 def dump_text(name: str, suffix: str, render: Callable[[], str]) -> bool:
@@ -178,26 +271,16 @@ def solve_lp(problem: LpProblem, tol_feas: float = TOL_FEAS,
         b_ub=problem.b_in if problem.b_in is not None and problem.b_in.size else None,
         A_eq=problem.a_eq if problem.a_eq is not None and problem.a_eq.shape[0] else None,
         b_eq=problem.b_eq if problem.b_eq is not None and problem.b_eq.size else None,
-        bounds=_scipy_bounds(problem),
-        options={
-            "presolve": True,
-            "primal_feasibility_tolerance": max(tol_feas * 1e-2, 1e-10),
-            "dual_feasibility_tolerance": max(tol_opt * 1e-2, 1e-10),
-        },
+        lower=problem.lower, upper=problem.upper,
+        primal_tol=max(tol_feas * 1e-2, 1e-10),
+        dual_tol=max(tol_opt * 1e-2, 1e-10),
     )
     res = linprog(problem.objective, method=method, **data)
     if method != SIMPLEX and res.status != 0:
         res = linprog(problem.objective, method=SIMPLEX, **data)
     if res.status == 0:
-        return LpSolution(
-            status=OPTIMAL,
-            x=np.asarray(res.x, dtype=float),
-            objective_value=float(res.fun),
-            ineq_duals=None if res.ineqlin is None else np.asarray(res.ineqlin.marginals),
-            eq_duals=None if res.eqlin is None else np.asarray(res.eqlin.marginals),
-            lower_duals=None if res.lower is None else np.asarray(res.lower.marginals),
-            upper_duals=None if res.upper is None else np.asarray(res.upper.marginals),
-        )
+        return LpSolution(OPTIMAL, res.x, float(res.fun), res.ineq_marginals,
+                          res.eq_marginals, res.lower_marginals, res.upper_marginals)
     if res.status == 2:
         return LpSolution(status=INFEASIBLE, x=None, objective_value=float("nan"))
     if res.status == 3:
@@ -223,89 +306,6 @@ def check_feasible(problem: LpProblem, tol_feas: float = TOL_FEAS) -> Feasibilit
     if sol.status == INFEASIBLE:
         return FeasibilityResult(False, None)
     raise SolverFailure(f"feasibility probe returned {sol.status}")
-
-
-def primal_violations(problem: LpProblem, x: np.ndarray) -> float:
-    """Largest constraint/bound violation of x (0 means feasible)."""
-    worst = 0.0
-    if problem.a_in is not None:
-        worst = max(worst, float(np.max(problem.a_in @ x - problem.b_in, initial=0.0)))
-    if problem.a_eq is not None:
-        worst = max(worst, float(np.max(np.abs(problem.a_eq @ x - problem.b_eq), initial=0.0)))
-    worst = max(worst, float(np.max(problem.lower - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - problem.upper, initial=0.0)))
-    return worst
-
-
-def dual_objective_value(problem: LpProblem, sol: LpSolution) -> float:
-    """Dual objective implied by the solver's marginals.
-
-    Strong duality makes this equal the primal optimum on solved instances.
-    Products with infinite, non-binding bounds are treated as zero.
-    """
-    if sol.status != OPTIMAL:
-        raise ValueError("dual objective only defined for optimal solutions")
-    total = 0.0
-    if sol.ineq_duals is not None and problem.b_in is not None:
-        total += float(sol.ineq_duals @ problem.b_in)
-    if sol.eq_duals is not None and problem.b_eq is not None:
-        total += float(sol.eq_duals @ problem.b_eq)
-    for duals, bound in ((sol.lower_duals, problem.lower), (sol.upper_duals, problem.upper)):
-        if duals is None:
-            continue
-        active = np.abs(duals) > 0
-        total += float(duals[active] @ np.where(np.isfinite(bound[active]), bound[active], 0.0))
-    return total
-
-
-def canonical_rows(problem: LpProblem):
-    """Fold the problem into one row system R x <= h.
-
-    Equalities become +/- pairs, finite bounds become identity rows; this is
-    the form Farkas certificates are stated against.
-    """
-    n = problem.n_vars
-    blocks, rhs = [], []
-    if problem.a_in is not None:
-        blocks.append(sp.csr_matrix(problem.a_in))
-        rhs.append(problem.b_in)
-    if problem.a_eq is not None:
-        ae = sp.csr_matrix(problem.a_eq)
-        blocks.extend([ae, -ae])
-        rhs.extend([problem.b_eq, -problem.b_eq])
-    eye = sp.eye(n, format="csr")
-    up = np.isfinite(problem.upper)
-    if up.any():
-        blocks.append(eye[up])
-        rhs.append(problem.upper[up])
-    lo = np.isfinite(problem.lower)
-    if lo.any():
-        blocks.append(-eye[lo])
-        rhs.append(-problem.lower[lo])
-    if not blocks:
-        raise MalformedProblem("unconstrained system has no row form")
-    return sp.vstack(blocks, format="csr"), np.concatenate(rhs)
-
-
-def farkas_certificate(problem: LpProblem) -> Optional[tuple[np.ndarray, sp.csr_matrix, np.ndarray]]:
-    """Certificate of infeasibility: y >= 0 with y @ R = 0 and y @ h < 0.
-
-    Returns (y, R, h) over the canonical row form, or None when the system
-    is feasible (no certificate exists).
-    """
-    rows, h = canonical_rows(problem)
-    k = rows.shape[0]
-    cert = LpProblem(
-        objective=np.zeros(k),
-        a_in=sp.csr_matrix(h.reshape(1, -1)), b_in=np.array([-1.0]),
-        a_eq=rows.T.tocsr(), b_eq=np.zeros(rows.shape[1]),
-        lower=np.zeros(k),
-        name=problem.name + ".farkas",
-    )
-    found = check_feasible(cert)
-    if not found.feasible:
-        return None
-    return found.x, rows, h
 
 
 def format_lp(problem: LpProblem) -> str:

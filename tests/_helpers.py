@@ -9,8 +9,8 @@ from flexbat import lp
 from flexbat.aggregation import (AggregationTree, CohortNode, DispatchResult,
                                  Leaf)
 from flexbat.cli import ArbitrageResult, PriceSeries
-from flexbat.errors import (DispatchInfeasible, EmptyBattery, NotInBattery,
-                            ValidationError)
+from flexbat.errors import (DispatchInfeasible, EmptyBattery, MalformedProblem,
+                            NotInBattery, ValidationError)
 from flexbat.fleet import ChargingTask, Fleet
 from flexbat.geometry import (HPolytope, VirtualBattery, contains_point,
                               support_function)
@@ -265,3 +265,87 @@ def build_app_reference(lifted: LiftedPolytope, nominal: HPolytope) -> lp.LpProb
     return lp.LpProblem(objective=objective, a_in=a_in, b_in=np.zeros(n),
                         a_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper,
                         name="app")
+
+
+def primal_violations(problem: lp.LpProblem, x: np.ndarray) -> float:
+    """Largest constraint/bound violation of x (0 means feasible)."""
+    worst = 0.0
+    if problem.a_in is not None:
+        worst = max(worst, float(np.max(problem.a_in @ x - problem.b_in, initial=0.0)))
+    if problem.a_eq is not None:
+        worst = max(worst, float(np.max(np.abs(problem.a_eq @ x - problem.b_eq), initial=0.0)))
+    worst = max(worst, float(np.max(problem.lower - x, initial=0.0)))
+    worst = max(worst, float(np.max(x - problem.upper, initial=0.0)))
+    return worst
+
+
+def dual_objective_value(problem: lp.LpProblem, sol: lp.LpSolution) -> float:
+    """Dual objective implied by the solver's marginals.
+
+    Strong duality makes this equal the primal optimum on solved instances.
+    Products with infinite, non-binding bounds are treated as zero.
+    """
+    if sol.status != lp.OPTIMAL:
+        raise ValueError("dual objective only defined for optimal solutions")
+    total = 0.0
+    if sol.ineq_duals is not None and problem.b_in is not None:
+        total += float(sol.ineq_duals @ problem.b_in)
+    if sol.eq_duals is not None and problem.b_eq is not None:
+        total += float(sol.eq_duals @ problem.b_eq)
+    for duals, bound in ((sol.lower_duals, problem.lower), (sol.upper_duals, problem.upper)):
+        if duals is None:
+            continue
+        active = np.abs(duals) > 0
+        total += float(duals[active] @ np.where(np.isfinite(bound[active]), bound[active], 0.0))
+    return total
+
+
+def canonical_rows(problem: lp.LpProblem):
+    """Fold the problem into one row system R x <= h.
+
+    Equalities become +/- pairs, finite bounds become identity rows; this is
+    the form Farkas certificates are stated against.
+    """
+    n = problem.n_vars
+    blocks, rhs = [], []
+    if problem.a_in is not None:
+        blocks.append(sp.csr_matrix(problem.a_in))
+        rhs.append(problem.b_in)
+    if problem.a_eq is not None:
+        ae = sp.csr_matrix(problem.a_eq)
+        blocks.extend([ae, -ae])
+        rhs.extend([problem.b_eq, -problem.b_eq])
+    eye = sp.eye(n, format="csr")
+    up = np.isfinite(problem.upper)
+    if up.any():
+        blocks.append(eye[up])
+        rhs.append(problem.upper[up])
+    lo = np.isfinite(problem.lower)
+    if lo.any():
+        blocks.append(-eye[lo])
+        rhs.append(-problem.lower[lo])
+    if not blocks:
+        raise MalformedProblem("unconstrained system has no row form")
+    return sp.vstack(blocks, format="csr"), np.concatenate(rhs)
+
+
+def farkas_certificate(
+        problem: lp.LpProblem) -> tuple[np.ndarray, sp.csr_matrix, np.ndarray] | None:
+    """Certificate of infeasibility: y >= 0 with y @ R = 0 and y @ h < 0.
+
+    Returns (y, R, h) over the canonical row form, or None when the system
+    is feasible (no certificate exists).
+    """
+    rows, h = canonical_rows(problem)
+    k = rows.shape[0]
+    cert = lp.LpProblem(
+        objective=np.zeros(k),
+        a_in=sp.csr_matrix(h.reshape(1, -1)), b_in=np.array([-1.0]),
+        a_eq=rows.T.tocsr(), b_eq=np.zeros(rows.shape[1]),
+        lower=np.zeros(k),
+        name=problem.name + ".farkas",
+    )
+    found = lp.check_feasible(cert)
+    if not found.feasible:
+        return None
+    return found.x, rows, h

@@ -410,6 +410,36 @@ def test_cli_dispatch_tree_battery_m_mismatch_exit_4(small_tree_json, tmp_path, 
     assert f"{broken}: battery 'm' disagrees" in capsys.readouterr().err
 
 
+def test_cli_arbitrage_battery_short_p_low_exit_4(tmp_path, capsys):
+    """A battery file with one `p_low` entry cut off is a parse error that
+    names the file."""
+    batt_path = tmp_path / "battery.json"
+    data = VirtualBattery(np.zeros(24), np.ones(24), 2.0, 10.0).to_dict()
+    data["p_low"] = data["p_low"][:-1]
+    batt_path.write_text(json.dumps(data))
+    prices_path = tmp_path / "lmp.csv"
+    write_prices(prices_path, np.linspace(20.0, 40.0, 24))
+    assert main(["arbitrage", "--battery", str(batt_path), "--prices",
+                 str(prices_path), "--out-profile", str(tmp_path / "p.csv")]) == 4
+    assert f"{batt_path}: p_low and p_high lengths differ" in capsys.readouterr().err
+
+
+def test_cli_dispatch_tree_short_unit_bounds_exit_4(small_tree_json, tmp_path, capsys):
+    """A tree file with one unit's `lo` cut short is a parse error that
+    names the file."""
+    data = json.loads((small_tree_json / "tree.json").read_text())
+    node = data["root"]
+    while "units" not in node:
+        node = node["children"][0]
+    unit = node["units"][0]
+    unit["lo"] = unit["lo"][:-1]
+    broken = tmp_path / "tree.json"
+    broken.write_text(json.dumps(data))
+    assert _dispatch_exit(broken, small_tree_json) == 4
+    assert (f"{broken}: unit {unit['origin']}: bounds vs active slots"
+            in capsys.readouterr().err)
+
+
 def test_cli_demo_subprocess(tmp_path):
     """The installed console entry point runs the tiny demo end to end."""
     outdir = tmp_path / "demo"

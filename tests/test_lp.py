@@ -1,9 +1,19 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy
+import scipy.sparse as sp
+from _helpers import (dual_objective_value, farkas_certificate, primal_violations,
+                      random_admissible_schedule)
 
 from flexbat import lp
+from flexbat.aggregation import AggregateConfig, aggregate
 from flexbat.errors import MalformedProblem
+from flexbat.fleet import generate_fleet
 from flexbat.geometry import VirtualBattery, battery_to_hpolytope
+from flexbat.oracle import adequacy_lp
 from flexbat.projection import LiftedPolytope, build_app
 
 
@@ -60,7 +70,7 @@ def test_check_feasible_single_load_system():
         lower=np.zeros(2), upper=np.ones(2))
     res = lp.check_feasible(prob)
     assert res.feasible
-    assert lp.primal_violations(prob, res.x) <= 1e-7
+    assert primal_violations(prob, res.x) <= 1e-7
 
 
 def test_malformed_dimension_mismatch():
@@ -96,8 +106,8 @@ def test_duality_gap_on_random_instances():
                                        int(rng.integers(0, min(n, 4))))
         sol = lp.solve_lp(prob)
         assert sol.status == lp.OPTIMAL
-        assert lp.primal_violations(prob, sol.x) <= 1e-7
-        gap = abs(sol.objective_value - lp.dual_objective_value(prob, sol))
+        assert primal_violations(prob, sol.x) <= 1e-7
+        gap = abs(sol.objective_value - dual_objective_value(prob, sol))
         assert gap <= 1e-6 * max(1.0, abs(sol.objective_value))
 
 
@@ -115,7 +125,7 @@ def test_farkas_certificate_on_infeasible_instances():
         prob = lp.LpProblem(objective=base.objective, a_in=a_in, b_in=b_in,
                             lower=base.lower, upper=base.upper)
         assert lp.solve_lp(prob).status == lp.INFEASIBLE
-        cert = lp.farkas_certificate(prob)
+        cert = farkas_certificate(prob)
         assert cert is not None
         y, rows, rhs = cert
         assert np.all(y >= -1e-12)
@@ -127,7 +137,7 @@ def test_farkas_certificate_on_infeasible_instances():
 
 def test_farkas_certificate_none_when_feasible():
     prob = lp.LpProblem(objective=[0.0], lower=[0.0], upper=[1.0])
-    assert lp.farkas_certificate(prob) is None
+    assert farkas_certificate(prob) is None
 
 
 def test_determinism_identical_bytes():
@@ -154,3 +164,110 @@ def test_format_lp_dump(tmp_path):
         lp.set_dump_dir(None)
     dumped = list(tmp_path.glob("demo_*.lp"))
     assert dumped and "Subject To" in dumped[0].read_text()
+
+
+def _adequacy_lps():
+    fleet = generate_fleet(8, 10, seed=4)
+    u = random_admissible_schedule(fleet, np.random.default_rng(4)).sum(axis=0)
+    assert adequacy_lp(fleet, u).adequate
+    covered = u > 0
+    assert not adequacy_lp(fleet, np.where(covered, u + 50.0, u)).adequate
+
+
+def _solve(**problem):
+    def run():
+        lp.solve_lp(lp.LpProblem(**problem))
+    return run
+
+
+_NEAR_INFEASIBLE = lp.LpProblem(
+    objective=[1.0, 1.0], a_in=sp.csr_matrix([[1.0, 1.0], [-1.0, -1.0]]),
+    b_in=[1.0, -1.0 - 1e-6], lower=[0.0, 0.0], upper=[0.6, 0.6])
+#: LP sources for the reference comparison, each with the scipy statuses
+#: its solves must end in
+REFERENCE_CASES = {
+    "app_ipm": (lambda: aggregate(generate_fleet(12, 12, seed=7),
+                                  AggregateConfig(group_size=4, fanout=3)), {0}),
+    "adequacy_simplex": (_adequacy_lps, {0, 2}),
+    "infeasible": (_solve(objective=[1.0, 1.0], a_in=sp.csr_matrix([[1.0, 1.0]]), b_in=[1.0],
+                          a_eq=sp.csr_matrix([[1.0, -1.0]]), b_eq=[0.0],
+                          lower=[1.0, 0.0], upper=[2.0, 2.0]), {2}),
+    "unbounded": (_solve(objective=[-1.0, 0.0], a_in=sp.csr_matrix([[-1.0, 0.0]]), b_in=[1.0],
+                         a_eq=sp.csr_matrix([[1.0, -1.0]]), b_eq=[0.0],
+                         lower=[0.0, -np.inf]), {3}),
+    "dense": (lambda: lp.solve_lp(
+        _random_bounded_problem(np.random.default_rng(21), 30, 10, 3)), {0}),
+    # rows 1e-6 apart: optimal at tol_feas 1e-3, infeasible at the default
+    "tolerances": (lambda: [lp.solve_lp(_NEAR_INFEASIBLE, tol_feas=tol) for tol in (1e-3, 1e-7)],
+                   {0, 2}),
+    "no_inequalities": (_solve(objective=[1.0, -2.0, 0.5, 0.0, -1.0, 3.0],
+                               a_eq=sp.csr_matrix([[1.0, 1.0, 0.0, 2.0, 0.0, -1.0],
+                                                   [0.0, -1.0, 1.0, 0.0, 1.0, 1.0]]),
+                               b_eq=[0.5, -0.5], lower=np.full(6, -2.0),
+                               upper=np.full(6, 2.0)), {0}),
+    "no_equalities": (_solve(objective=-np.ones(5),
+                             a_in=sp.random(4, 5, density=0.6, random_state=3, format="csr")
+                             + sp.eye(4, 5, format="csr"),
+                             b_in=np.ones(4), lower=np.zeros(5), upper=np.full(5, 3.0)), {0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_linprog_matches_scipy_reference(case, monkeypatch):
+    """flexbat's `linprog` gives scipy.optimize.linprog's answer byte for
+    byte: the same x, status, objective, marginals and iteration counts."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    source, statuses = REFERENCE_CASES[case]
+    calls = []
+    real = lp.linprog
+
+    def record(c, method, **kwargs):
+        res = real(c, method=method, **kwargs)
+        calls.append((c, method, kwargs, res))
+        return res
+
+    monkeypatch.setattr(lp, "linprog", record)
+    source()
+    assert calls
+    seen = set()
+    for c, method, kw, res in calls:
+        ref = scipy_linprog(
+            c, A_ub=kw["A_ub"], b_ub=kw["b_ub"], A_eq=kw["A_eq"], b_eq=kw["b_eq"],
+            bounds=np.column_stack([kw["lower"], kw["upper"]]), method=method,
+            options={"presolve": True, "primal_feasibility_tolerance": kw["primal_tol"],
+                     "dual_feasibility_tolerance": kw["dual_tol"]})
+        assert (res.status, res.nit, res.crossover_nit) == (ref.status, ref.nit,
+                                                           ref.crossover_nit)
+        seen.add(res.status)
+        if ref.status != 0:
+            assert res.x is None
+            continue
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert res.fun == ref.fun
+        for mine, theirs in ((res.ineq_marginals, ref.ineqlin), (res.eq_marginals, ref.eqlin),
+                             (res.lower_marginals, ref.lower),
+                             (res.upper_marginals, ref.upper)):
+            assert mine.tobytes() == theirs.marginals.tobytes()
+    assert seen == statuses
+    if case == "app_ipm":
+        assert {method for _, method, _, _ in calls} == {lp.IPM}
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """HiGHS's binding is loaded from its file, so importing the package and
+    its CLI never runs scipy.optimize's package import."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, flexbat, flexbat.cli; "
+         "print(sorted(k for k in sys.modules if k.startswith('scipy.optimize')))"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "'scipy.optimize'" not in proc.stdout
+    assert "'scipy.optimize._highspy._core'" in proc.stdout
+
+
+def test_missing_highs_binding_names_directory_and_version(tmp_path):
+    with pytest.raises(ImportError) as err:
+        lp._load_highs(str(tmp_path))
+    assert str(tmp_path) in str(err.value)
+    assert f"scipy {scipy.__version__}" in str(err.value)

@@ -13,9 +13,8 @@ from .cli import (ArbitrageResult, PriceSeries, arbitrage, baseline_immediate,
 from .fleet import (ChargingTask, Fleet, GenProfile, admissible_polytope,
                     generate_fleet, load_fleet, save_fleet)
 from .geometry import (Homothet, HPolytope, VirtualBattery,
-                       battery_to_hpolytope, contains_point,
-                       contains_polytope, fm_eliminate_one, homothet_apply,
-                       homothet_apply_battery, lemma1_sum, support_function)
+                       battery_to_hpolytope, contains_point, fm_eliminate_one,
+                       homothet_apply, homothet_apply_battery, lemma1_sum)
 from .lp import LpProblem, LpSolution, check_feasible, solve_lp
 from .oracle import (AdequacyVerdict, adequacy_bruteforce, adequacy_lp,
                      adequacy_thm1, validate_schedule)

@@ -21,16 +21,8 @@ class DimensionMismatch(FlexError):
     """Operands live in different ambient dimensions."""
 
 
-class EmptyInner(FlexError):
-    """Containment test called with an empty inner polytope."""
-
-
 class MixedBases(FlexError):
     """Homothets of different base polytopes cannot be summed directly."""
-
-
-class UnboundedDirection(FlexError):
-    """Support function queried along a direction with no finite maximum."""
 
 
 class InfeasibleTask(FlexError):

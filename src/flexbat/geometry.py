@@ -1,9 +1,8 @@
 """Polytope machinery: H-representations, homothets, virtual batteries.
 
 Everything here is stated over facet (H-)representations {x : A x <= c}.
-Containment between polytopes is decided exactly through the Farkas
-multiplier system; Fourier-Motzkin elimination is kept as a low-dimensional
-oracle against which the LP-based routes are tested.
+Fourier-Motzkin elimination is kept as a low-dimensional oracle against
+which the LP-based routes are tested.
 """
 
 from __future__ import annotations
@@ -12,11 +11,9 @@ from dataclasses import dataclass, fields
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lp
-from .errors import (DimensionMismatch, EmptyInner, MixedBases,
-                     UnboundedDirection)
+from .errors import DimensionMismatch, MixedBases
 
 _ZERO_COEF = 1e-12
 
@@ -66,13 +63,6 @@ class HPolytope:
     @property
     def n_rows(self) -> int:
         return self.a.shape[0]
-
-    def feasibility_problem(self) -> lp.LpProblem:
-        return lp.LpProblem(objective=np.zeros(self.dim), a_in=self.a, b_in=self.c,
-                            name="hpoly")
-
-    def is_empty(self, tol: float = lp.TOL_FEAS) -> bool:
-        return not lp.check_feasible(self.feasibility_problem(), tol_feas=tol).feasible
 
 
 @dataclass(frozen=True)
@@ -179,32 +169,6 @@ def contains_point(p: HPolytope, x: np.ndarray, tol: float = lp.TOL_FEAS) -> boo
     return bool(np.all(p.a @ x <= p.c + tol))
 
 
-def contains_polytope(inner: HPolytope, outer: HPolytope,
-                      tol: float = lp.TOL_FEAS) -> bool:
-    """Exact subset test via one Farkas multiplier LP.
-
-    True iff some G >= 0 satisfies G @ A_inner = A_outer and
-    G @ c_inner <= c_outer. Requires a nonempty inner set.
-    """
-    if inner.dim != outer.dim:
-        raise DimensionMismatch("containment needs a shared ambient space")
-    if inner.is_empty(tol):
-        raise EmptyInner("inner polytope is empty; Farkas premise fails")
-    ki, ko, m = inner.n_rows, outer.n_rows, inner.dim
-    # variables: G flattened row-major, one row of G per outer row
-    a_eq = sp.kron(sp.eye(ko), sp.csr_matrix(inner.a.T), format="csr")
-    b_eq = outer.a.ravel()
-    a_in = sp.kron(sp.eye(ko), sp.csr_matrix(inner.c.reshape(1, -1)), format="csr")
-    prob = lp.LpProblem(
-        objective=np.zeros(ko * ki),
-        a_in=a_in, b_in=outer.c,
-        a_eq=a_eq, b_eq=b_eq,
-        lower=np.zeros(ko * ki),
-        name="contains",
-    )
-    return lp.check_feasible(prob, tol_feas=tol).feasible
-
-
 def homothet_apply(h: Homothet, b: HPolytope) -> HPolytope:
     """Image {A x <= lam*c + A mu}: x in result iff (x - mu)/lam in b."""
     if h.mu.size != b.dim:
@@ -245,19 +209,6 @@ def lemma1_sum(homothets: Sequence[Homothet],
     lam = sum(h.lam for h in hs)
     mu = np.sum([h.mu for h in hs], axis=0)
     return Homothet(lam, mu)
-
-
-def support_function(p: HPolytope, v: np.ndarray) -> float:
-    """max v . x over p, by LP."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != p.dim:
-        raise DimensionMismatch("direction dim vs polytope dim")
-    sol = lp.solve_lp(lp.LpProblem(objective=-v, a_in=p.a, b_in=p.c, name="support"))
-    if sol.status == lp.UNBOUNDED:
-        raise UnboundedDirection("polytope unbounded along the query direction")
-    if sol.status != lp.OPTIMAL:
-        raise EmptyInner("support function of an empty set")
-    return -sol.objective_value
 
 
 def fm_eliminate_one(p: HPolytope, coord_index: int) -> HPolytope:

@@ -11,9 +11,12 @@ and solved by HiGHS through its own Python binding, the `_core` extension
 that scipy ships in `scipy/optimize/_highspy/`. The binding is loaded from
 that file directly: importing `scipy.optimize` would load scipy.special,
 fft, linalg and spatial as well, most of a process's start-up time and a
-quarter of its memory. `linprog` hands HiGHS the model and options that
-`scipy.optimize.linprog` would, so both return the same bytes. HiGHS is
-deterministic for identical input bytes, which the demo pipeline relies on.
+quarter of its memory. Sparse matrices are `SparseRows`, plain
+row-compressed arrays that HiGHS takes row-wise as they are, so scipy's
+sparse package is never imported either. `linprog` hands HiGHS the model
+and options that `scipy.optimize.linprog` would, so both return the same
+bytes. HiGHS is deterministic for identical input bytes, which the demo
+pipeline relies on.
 """
 
 from __future__ import annotations
@@ -29,11 +32,30 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from .errors import MalformedProblem, SolverFailure
 
-Matrix = Union[np.ndarray, sp.spmatrix, sp.sparray]
+
+@dataclass(frozen=True)
+class SparseRows:
+    """Row-compressed matrix: row i holds `data[indptr[i]:indptr[i + 1]]` at
+    the columns `indices[indptr[i]:indptr[i + 1]]`, which strictly increase.
+
+    Indices are built as np.int32, HiGHS's own index type, so the binding
+    converts nothing. `LpProblem` checks the arrays.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+
+Matrix = Union[np.ndarray, SparseRows]
 
 #: default feasibility / optimality tolerances, overridable per call
 TOL_FEAS = 1e-7
@@ -90,10 +112,53 @@ def set_dump_dir(path: Optional[str]) -> None:
         os.makedirs(path, exist_ok=True)
 
 
-def _as_2d(a: Optional[Matrix]) -> Optional[Matrix]:
+def row_starts(counts: np.ndarray) -> np.ndarray:
+    """`SparseRows.indptr` of rows holding `counts` entries each."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def _rows(a: Optional[Matrix]) -> SparseRows:
+    """`a` as SparseRows: a dense matrix by its nonzeros, None as no rows."""
+    if isinstance(a, SparseRows):
+        return a
     if a is None:
-        return None
-    return a.tocsr() if sp.issparse(a) else np.atleast_2d(np.asarray(a, dtype=float))
+        return SparseRows((0, 0), np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32),
+                          np.zeros(0))
+    row, col = np.nonzero(a)
+    return SparseRows(a.shape, row_starts(np.bincount(row, minlength=a.shape[0])),
+                      col.astype(np.int32), a[row, col])
+
+
+def _checked_matrix(name: str, a) -> Matrix:
+    """`a` as a 2-D float array, or a well-formed `SparseRows` as it is."""
+    if not isinstance(a, SparseRows):
+        try:
+            return np.atleast_2d(np.asarray(a, dtype=float))
+        except (TypeError, ValueError):
+            raise MalformedProblem(f"{name} must be a dense array or lp.SparseRows, "
+                                   f"not {type(a).__name__}") from None
+    ptr, idx = a.indptr, a.indices
+    if not (all(isinstance(v, np.ndarray) for v in (ptr, idx, a.data))
+            and ptr.dtype.kind in "iu" and idx.dtype.kind in "iu" and a.data.dtype.kind in "iuf"):
+        raise MalformedProblem(f"{name}: indptr, indices and data must be numeric arrays, "
+                               "the first two of integers")
+    nnz = a.nnz
+    if ptr.shape != (a.shape[0] + 1,) or idx.shape != (nnz,) or a.data.ndim != 1:
+        raise MalformedProblem(f"{name}: indptr must hold rows + 1 entries, "
+                               f"indices and data nnz = {nnz} each")
+    if (np.diff(ptr) < 0).any():
+        raise MalformedProblem(f"{name}: indptr must not decrease")
+    if ptr[0] != 0 or ptr[-1] != nnz:
+        raise MalformedProblem(f"{name}: indptr must run from 0 to nnz = {nnz}")
+    if nnz and (idx.min() < 0 or idx.max() >= a.shape[1]):
+        raise MalformedProblem(f"{name}: column index outside [0, {a.shape[1]})")
+    row_first = np.zeros(nnz, dtype=bool)
+    row_first[ptr[:-1][ptr[:-1] < nnz]] = True
+    if (np.diff(idx) <= 0)[~row_first[1:]].any():
+        raise MalformedProblem(f"{name}: columns must strictly increase within a row")
+    return a
 
 
 @dataclass(frozen=True)
@@ -118,12 +183,12 @@ class LpProblem:
         if not np.isfinite(obj).all():
             raise MalformedProblem("objective has non-finite entries")
         for mat_name, vec_name in (("a_in", "b_in"), ("a_eq", "b_eq")):
-            mat = _as_2d(getattr(self, mat_name))
-            vec = getattr(self, vec_name)
+            mat, vec = getattr(self, mat_name), getattr(self, vec_name)
             if (mat is None) != (vec is None):
                 raise MalformedProblem(f"{mat_name} and {vec_name} must come together")
             if mat is None:
                 continue
+            mat = _checked_matrix(mat_name, mat)
             vec = np.asarray(vec, dtype=float).ravel()
             if mat.shape[1] != n:
                 raise MalformedProblem(
@@ -131,7 +196,7 @@ class LpProblem:
             if mat.shape[0] != vec.size:
                 raise MalformedProblem(
                     f"{mat_name} has {mat.shape[0]} rows, {vec_name} has {vec.size}")
-            if not (np.isfinite(mat.data if sp.issparse(mat) else mat).all()
+            if not (np.isfinite(mat.data if isinstance(mat, SparseRows) else mat).all()
                     and np.isfinite(vec).all()):
                 raise MalformedProblem(f"{mat_name}/{vec_name} has non-finite entries")
             object.__setattr__(self, mat_name, mat)
@@ -195,20 +260,20 @@ def linprog(c: np.ndarray, A_ub: Optional[Matrix] = None, b_ub: Optional[np.ndar
             primal_tol: float, dual_tol: float) -> HighsResult:
     """Minimize c @ x s.t. A_ub @ x <= b_ub, A_eq @ x == b_eq, lower <= x <= upper.
 
-    HiGHS gets one CSC matrix, A_ub over A_eq, with presolve on and dual
-    simplex; SIMPLEX lets HiGHS choose its solver, IPM runs interior point
-    with crossover.
+    HiGHS gets one row-wise matrix, A_ub's rows over A_eq's, with presolve
+    on and dual simplex; SIMPLEX lets HiGHS choose its solver, IPM runs
+    interior point with crossover.
     """
     b_ub, b_eq = (np.zeros(0) if b is None else b for b in (b_ub, b_eq))
     n_ub, rhs = b_ub.size, np.concatenate([b_ub, b_eq])
-    a = sp.vstack([sp.coo_array((0, c.size) if m is None else m) for m in (A_ub, A_eq)],
-                  format="csc", dtype=float)
+    ub, eq = _rows(A_ub), _rows(A_eq)
     model, highs = _highs.HighsLp(), _highs._Highs()
     mat = model.a_matrix_
     model.num_col_ = mat.num_col_ = c.size
     model.num_row_ = mat.num_row_ = rhs.size
     mat.format_, mat.start_, mat.index_, mat.value_ = (
-        _highs.MatrixFormat.kColwise, a.indptr, a.indices, a.data)
+        _highs.MatrixFormat.kRowwise, np.concatenate([ub.indptr, eq.indptr[1:] + ub.nnz]),
+        np.concatenate([ub.indices, eq.indices]), np.concatenate([ub.data, eq.data]))
     model.col_cost_, model.col_lower_, model.col_upper_ = c, lower, upper
     model.row_lower_, model.row_upper_ = np.concatenate([np.full(n_ub, -np.inf), b_eq]), rhs
     for key, value in (("output_flag", False), ("presolve", "on"), ("simplex_strategy", 1),
@@ -317,24 +382,18 @@ def format_lp(problem: LpProblem) -> str:
         parts = [f"{'+' if c >= 0 else '-'} {num(abs(c))} x{j}" for j, c in zip(indices, coeffs)]
         return " ".join(parts) if parts else "0"
 
-    def row_terms(mat, i) -> str:
-        if sp.issparse(mat):
-            row = mat.getrow(i)
-            return terms(row.data, row.indices)
-        row = mat[i]
-        nz = np.nonzero(row)[0]
-        return terms(row[nz], nz)
+    def constraints(tag: str, mat: Optional[Matrix], rhs: np.ndarray, sense: str):
+        rows = _rows(mat)
+        for i, (lo, hi) in enumerate(zip(rows.indptr[:-1], rows.indptr[1:])):
+            out.append(f" {tag}{i}: {terms(rows.data[lo:hi], rows.indices[lo:hi])} "
+                       f"{sense} {num(rhs[i])}")
 
     out = [f"\\ {problem.name}", "Minimize", " obj: " +
            terms(problem.objective[np.nonzero(problem.objective)[0]],
                  np.nonzero(problem.objective)[0])]
     out.append("Subject To")
-    if problem.a_in is not None:
-        for i in range(problem.a_in.shape[0]):
-            out.append(f" c{i}: {row_terms(problem.a_in, i)} <= {num(problem.b_in[i])}")
-    if problem.a_eq is not None:
-        for i in range(problem.a_eq.shape[0]):
-            out.append(f" e{i}: {row_terms(problem.a_eq, i)} = {num(problem.b_eq[i])}")
+    constraints("c", problem.a_in, problem.b_in, "<=")
+    constraints("e", problem.a_eq, problem.b_eq, "=")
     out.append("Bounds")
     for j, (lo, hi) in enumerate(zip(problem.lower, problem.upper)):
         lo_s = "-inf" if lo == -np.inf else num(lo)

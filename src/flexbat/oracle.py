@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lp
 from .errors import DimensionMismatch, TooLarge
@@ -35,39 +34,31 @@ class AdequacyVerdict:
 
 
 def _charging_system(fleet: Fleet, u: np.ndarray):
-    """Variables x[i,t] for t in each task's window; returns (cols, problem)."""
-    delta = fleet.delta
-    cols = [(i, t) for i, task in enumerate(fleet.tasks) for t in task.window]
-    col_of = {key: j for j, key in enumerate(cols)}
-    nv = len(cols)
-    covered = sorted({t for _, t in cols})
+    """Variables x[i,t] for t in each task's window, task-major; returns
+    the task and slot of each column, and the problem."""
+    slot_of = np.array([t for task in fleet.tasks for t in task.window], dtype=int)
+    task_of = np.repeat(np.arange(fleet.n), [task.window_length for task in fleet.tasks])
+    nv = slot_of.size
     # column sums pinned to u on covered slots
-    eq_r, eq_c = [], []
-    for r, t in enumerate(covered):
-        for i, task in enumerate(fleet.tasks):
-            if task.a <= t <= task.d:
-                eq_r.append(r)
-                eq_c.append(col_of[(i, t)])
-    a_eq = sp.coo_matrix((np.ones(len(eq_r)), (eq_r, eq_c)),
-                         shape=(len(covered), nv)).tocsr()
-    b_eq = np.array([u[t - 1] for t in covered])
-    # per-task energy interval
-    in_r, in_c, in_v = [], [], []
-    for i, task in enumerate(fleet.tasks):
-        for t in task.window:
-            j = col_of[(i, t)]
-            in_r.extend([2 * i, 2 * i + 1])
-            in_c.extend([j, j])
-            in_v.extend([delta, -delta])
-    a_in = sp.coo_matrix((in_v, (in_r, in_c)), shape=(2 * fleet.n, nv)).tocsr()
+    covered, per_slot = np.unique(slot_of, return_counts=True)
+    a_eq = lp.SparseRows((covered.size, nv), lp.row_starts(per_slot),
+                         np.argsort(slot_of, kind="stable").astype(np.int32), np.ones(nv))
+    # per-task energy interval: row 2i is delta times task i's columns, row
+    # 2i + 1 its negation
+    in_r = np.concatenate([2 * task_of, 2 * task_of + 1])
+    order = np.argsort(in_r, kind="stable")
+    a_in = lp.SparseRows((2 * fleet.n, nv),
+                         lp.row_starts(np.bincount(in_r, minlength=2 * fleet.n)),
+                         np.tile(np.arange(nv, dtype=np.int32), 2)[order],
+                         np.repeat([fleet.delta, -fleet.delta], nv)[order])
     b_in = np.empty(2 * fleet.n)
     b_in[0::2] = [t.e_high for t in fleet.tasks]
     b_in[1::2] = [-t.e_low for t in fleet.tasks]
-    upper = np.array([fleet.tasks[i].p for i, _ in cols])
+    upper = np.array([t.p for t in fleet.tasks])[task_of]
     problem = lp.LpProblem(objective=np.zeros(nv), a_in=a_in, b_in=b_in,
-                           a_eq=a_eq, b_eq=b_eq,
+                           a_eq=a_eq, b_eq=u[covered - 1],
                            lower=np.zeros(nv), upper=upper, name="adequacy")
-    return cols, covered, problem
+    return task_of, slot_of, problem
 
 
 def adequacy_lp(fleet: Fleet, u: np.ndarray, tol: float = lp.TOL_FEAS) -> AdequacyVerdict:
@@ -80,13 +71,12 @@ def adequacy_lp(fleet: Fleet, u: np.ndarray, tol: float = lp.TOL_FEAS) -> Adequa
         covered_mask[task.a - 1:task.d] = True
     if np.any(np.abs(u[~covered_mask]) > tol):
         return AdequacyVerdict(False)
-    cols, _, problem = _charging_system(fleet, u)
+    task_of, slot_of, problem = _charging_system(fleet, u)
     result = lp.check_feasible(problem, tol_feas=tol)
     if not result.feasible:
         return AdequacyVerdict(False)
     witness = np.zeros((fleet.n, fleet.m))
-    for (i, t), v in zip(cols, result.x):
-        witness[i, t - 1] = v
+    witness[task_of, slot_of - 1] = result.x
     return AdequacyVerdict(True, witness=witness)
 
 

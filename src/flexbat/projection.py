@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lp
 from .errors import DimensionMismatch, EmptyOrDegenerate, EmptyUnit
@@ -332,8 +331,8 @@ def _nonzero(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return row, col, np.arange(row.size) - np.searchsorted(row, row)
 
 
-def _csr(shape: tuple[int, int], blocks) -> sp.csr_matrix:
-    """CSR matrix from blocks of (row, rank, col, value) entry arrays.
+def _csr(shape: tuple[int, int], blocks) -> lp.SparseRows:
+    """Row-compressed matrix from blocks of (row, rank, col, value) entry arrays.
 
     Blocks come in ascending column order: in every row, one block's
     entries precede the next block's. `rank` is an entry's place among its
@@ -343,17 +342,16 @@ def _csr(shape: tuple[int, int], blocks) -> sp.csr_matrix:
     """
     blocks = [np.broadcast_arrays(*block) for block in blocks]
     counts = [np.bincount(row.ravel(), minlength=shape[0]) for row, _, _, _ in blocks]
-    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
-    np.cumsum(sum(counts), out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.intp)
+    indptr = lp.row_starts(sum(counts))
+    indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty(indptr[-1])
-    start = indptr[:-1].copy()
+    start = indptr[:-1].astype(np.intp)
     for (row, rank, col, val), count in zip(blocks, counts):
         at = start[row] + rank
         indices[at] = col
         data[at] = val
         start += count
-    return sp.csr_matrix((data, indices, indptr), shape=shape)
+    return lp.SparseRows(shape, indptr, indices, data)
 
 
 def _homothet_lp(lifted: LiftedPolytope, nominal: HPolytope,

@@ -9,12 +9,79 @@ from flexbat import lp
 from flexbat.aggregation import (AggregationTree, CohortNode, DispatchResult,
                                  Leaf)
 from flexbat.cli import ArbitrageResult, PriceSeries
-from flexbat.errors import (DispatchInfeasible, EmptyBattery, MalformedProblem,
-                            NotInBattery, ValidationError)
+from flexbat.errors import (DimensionMismatch, DispatchInfeasible, EmptyBattery,
+                            FlexError, MalformedProblem, NotInBattery,
+                            ValidationError)
 from flexbat.fleet import ChargingTask, Fleet
-from flexbat.geometry import (HPolytope, VirtualBattery, contains_point,
-                              support_function)
+from flexbat.geometry import HPolytope, VirtualBattery, contains_point
 from flexbat.projection import S_MAX, LiftedPolytope
+
+
+class EmptyInner(FlexError):
+    """Containment test called with an empty inner polytope."""
+
+
+class UnboundedDirection(FlexError):
+    """Support function queried along a direction with no finite maximum."""
+
+
+def as_scipy(mat):
+    """A problem's matrix as scipy takes it: `lp.SparseRows` as a
+    csr_matrix over the same arrays, a dense matrix as it is."""
+    if isinstance(mat, lp.SparseRows):
+        return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+    return mat
+
+
+def as_rows(mat) -> lp.SparseRows:
+    """A scipy or dense matrix as `lp.SparseRows` over scipy's CSR arrays."""
+    csr = sp.csr_matrix(mat)
+    return lp.SparseRows(csr.shape, csr.indptr, csr.indices, csr.data)
+
+
+def is_empty(poly: HPolytope, tol: float = lp.TOL_FEAS) -> bool:
+    problem = lp.LpProblem(objective=np.zeros(poly.dim), a_in=poly.a, b_in=poly.c,
+                           name="hpoly")
+    return not lp.check_feasible(problem, tol_feas=tol).feasible
+
+
+def contains_polytope(inner: HPolytope, outer: HPolytope,
+                      tol: float = lp.TOL_FEAS) -> bool:
+    """Exact subset test via one Farkas multiplier LP.
+
+    True iff some G >= 0 satisfies G @ A_inner = A_outer and
+    G @ c_inner <= c_outer. Requires a nonempty inner set.
+    """
+    if inner.dim != outer.dim:
+        raise DimensionMismatch("containment needs a shared ambient space")
+    if is_empty(inner, tol):
+        raise EmptyInner("inner polytope is empty; Farkas premise fails")
+    ki, ko = inner.n_rows, outer.n_rows
+    # variables: G flattened row-major, one row of G per outer row
+    a_eq = sp.kron(sp.eye(ko), sp.csr_matrix(inner.a.T), format="csr")
+    b_eq = outer.a.ravel()
+    a_in = sp.kron(sp.eye(ko), sp.csr_matrix(inner.c.reshape(1, -1)), format="csr")
+    prob = lp.LpProblem(
+        objective=np.zeros(ko * ki),
+        a_in=as_rows(a_in), b_in=outer.c,
+        a_eq=as_rows(a_eq), b_eq=b_eq,
+        lower=np.zeros(ko * ki),
+        name="contains",
+    )
+    return lp.check_feasible(prob, tol_feas=tol).feasible
+
+
+def support_function(p: HPolytope, v: np.ndarray) -> float:
+    """max v . x over p, by LP."""
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size != p.dim:
+        raise DimensionMismatch("direction dim vs polytope dim")
+    sol = lp.solve_lp(lp.LpProblem(objective=-v, a_in=p.a, b_in=p.c, name="support"))
+    if sol.status == lp.UNBOUNDED:
+        raise UnboundedDirection("polytope unbounded along the query direction")
+    if sol.status != lp.OPTIMAL:
+        raise EmptyInner("support function of an empty set")
+    return -sol.objective_value
 
 
 def bounding_box(poly: HPolytope) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +329,8 @@ def build_app_reference(lifted: LiftedPolytope, nominal: HPolytope) -> lp.LpProb
     lower[1:1 + n_g] = 0.0
     objective = np.zeros(nv)
     objective[0] = 1.0
-    return lp.LpProblem(objective=objective, a_in=a_in, b_in=np.zeros(n),
-                        a_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper,
+    return lp.LpProblem(objective=objective, a_in=as_rows(a_in), b_in=np.zeros(n),
+                        a_eq=as_rows(a_eq), b_eq=b_eq, lower=lower, upper=upper,
                         name="app")
 
 
@@ -271,9 +338,11 @@ def primal_violations(problem: lp.LpProblem, x: np.ndarray) -> float:
     """Largest constraint/bound violation of x (0 means feasible)."""
     worst = 0.0
     if problem.a_in is not None:
-        worst = max(worst, float(np.max(problem.a_in @ x - problem.b_in, initial=0.0)))
+        worst = max(worst, float(np.max(as_scipy(problem.a_in) @ x - problem.b_in,
+                                        initial=0.0)))
     if problem.a_eq is not None:
-        worst = max(worst, float(np.max(np.abs(problem.a_eq @ x - problem.b_eq), initial=0.0)))
+        worst = max(worst, float(np.max(np.abs(as_scipy(problem.a_eq) @ x - problem.b_eq),
+                                        initial=0.0)))
     worst = max(worst, float(np.max(problem.lower - x, initial=0.0)))
     worst = max(worst, float(np.max(x - problem.upper, initial=0.0)))
     return worst
@@ -309,10 +378,10 @@ def canonical_rows(problem: lp.LpProblem):
     n = problem.n_vars
     blocks, rhs = [], []
     if problem.a_in is not None:
-        blocks.append(sp.csr_matrix(problem.a_in))
+        blocks.append(sp.csr_matrix(as_scipy(problem.a_in)))
         rhs.append(problem.b_in)
     if problem.a_eq is not None:
-        ae = sp.csr_matrix(problem.a_eq)
+        ae = sp.csr_matrix(as_scipy(problem.a_eq))
         blocks.extend([ae, -ae])
         rhs.extend([problem.b_eq, -problem.b_eq])
     eye = sp.eye(n, format="csr")
@@ -340,8 +409,8 @@ def farkas_certificate(
     k = rows.shape[0]
     cert = lp.LpProblem(
         objective=np.zeros(k),
-        a_in=sp.csr_matrix(h.reshape(1, -1)), b_in=np.array([-1.0]),
-        a_eq=rows.T.tocsr(), b_eq=np.zeros(rows.shape[1]),
+        a_in=as_rows(h.reshape(1, -1)), b_in=np.array([-1.0]),
+        a_eq=as_rows(rows.T.tocsr()), b_eq=np.zeros(rows.shape[1]),
         lower=np.zeros(k),
         name=problem.name + ".farkas",
     )

@@ -11,16 +11,16 @@ import time
 import numpy as np
 import pytest
 
-from _helpers import (fleet_order_schedule, random_admissible_schedule,
-                      random_box_polytope, random_small_fleet,
-                      rejection_samples)
+from _helpers import (contains_polytope, fleet_order_schedule,
+                      random_admissible_schedule, random_box_polytope,
+                      random_small_fleet, rejection_samples, support_function)
 from flexbat.aggregation import AggregateConfig, aggregate, dispatch
 from flexbat.cli import arbitrage, baseline_immediate, demo_price_curve, main
 from flexbat.fleet import ChargingTask, Fleet, generate_fleet
 from flexbat.geometry import (Homothet, VirtualBattery, battery_to_hpolytope,
                               contains_point, fm_eliminate_one,
                               homothet_apply, homothet_apply_battery,
-                              contains_polytope, lemma1_sum, support_function)
+                              lemma1_sum)
 from flexbat.oracle import adequacy_lp, adequacy_thm1, validate_schedule
 from flexbat.projection import LiftedPolytope, solve_app, solve_opp3
 from flexbat.sampling import greedy_profile, sample_battery

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from _helpers import (bounding_box, enumerate_vertices, random_box_polytope,
-                      rejection_samples)
-from flexbat.errors import (DimensionMismatch, EmptyInner, MixedBases,
-                            UnboundedDirection)
+from _helpers import (EmptyInner, UnboundedDirection, bounding_box,
+                      contains_polytope, enumerate_vertices,
+                      random_box_polytope, rejection_samples,
+                      support_function)
+from flexbat.errors import DimensionMismatch, MixedBases
 from flexbat.geometry import (Homothet, HPolytope, VirtualBattery,
                               battery_to_hpolytope, contains_point,
-                              contains_polytope, fm_eliminate_one,
-                              homothet_apply, homothet_apply_battery,
-                              lemma1_sum, support_function)
+                              fm_eliminate_one, homothet_apply,
+                              homothet_apply_battery, lemma1_sum)
 
 # the worked 2-D example, with the corrected sign on the third row
 EX1 = HPolytope(np.array([[-0.5, -1.0], [0.6, 1.0], [-1.0, -1.0]]),

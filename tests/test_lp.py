@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy
 import scipy.sparse as sp
-from _helpers import (dual_objective_value, farkas_certificate, primal_violations,
-                      random_admissible_schedule)
+from _helpers import (as_rows, as_scipy, dual_objective_value, farkas_certificate,
+                      primal_violations, random_admissible_schedule)
 
 from flexbat import lp
 from flexbat.aggregation import AggregateConfig, aggregate
@@ -14,7 +14,7 @@ from flexbat.errors import MalformedProblem
 from flexbat.fleet import generate_fleet
 from flexbat.geometry import VirtualBattery, battery_to_hpolytope
 from flexbat.oracle import adequacy_lp
-from flexbat.projection import LiftedPolytope, build_app
+from flexbat.projection import FlexUnit, LiftedPolytope, build_app, eliminate
 
 
 def test_one_variable_bound():
@@ -166,6 +166,60 @@ def test_format_lp_dump(tmp_path):
     assert dumped and "Subject To" in dumped[0].read_text()
 
 
+def test_format_lp_sparse_rows_match_dense():
+    """An APP LP dumps to the same text from `SparseRows` as from dense
+    matrices: rows by ascending column, zeros left out."""
+    units = [FlexUnit.from_task(t) for t in generate_fleet(3, 12, seed=2).tasks]
+    lifted = eliminate(units, coords=range(1, 13))
+    nominal = battery_to_hpolytope(VirtualBattery(np.zeros(12), np.ones(12), 0.0, 12.0))
+    problem = build_app(lifted, nominal)
+    assert isinstance(problem.a_in, lp.SparseRows) and lifted.m_tilde > 0
+    dense = lp.LpProblem(objective=problem.objective,
+                         a_in=as_scipy(problem.a_in).toarray(), b_in=problem.b_in,
+                         a_eq=as_scipy(problem.a_eq).toarray(), b_eq=problem.b_eq,
+                         lower=problem.lower, upper=problem.upper, name=problem.name)
+    assert lp.format_lp(problem) == lp.format_lp(dense)
+
+
+#: a well-formed [[1, 0, 2], [0, 3, 0]] and one defect each
+_ROWS = dict(shape=(2, 3), indptr=np.array([0, 2, 3], dtype=np.int32),
+             indices=np.array([0, 2, 1], dtype=np.int32), data=np.array([1.0, 2.0, 3.0]))
+_MALFORMED_ROWS = {
+    "indptr_length": (dict(indptr=np.array([0, 3], dtype=np.int32)), "rows \\+ 1"),
+    "indptr_decreases": (dict(indptr=np.array([0, 4, 3], dtype=np.int32)), "decrease"),
+    "indptr_misses_nnz": (dict(indptr=np.array([0, 2, 2], dtype=np.int32)), "from 0 to nnz"),
+    "column_negative": (dict(indices=np.array([-1, 2, 1], dtype=np.int32)), "outside"),
+    "column_too_large": (dict(indices=np.array([0, 3, 1], dtype=np.int32)), "outside"),
+    "column_duplicate": (dict(indices=np.array([2, 2, 1], dtype=np.int32)), "increase"),
+    "columns_unsorted": (dict(indices=np.array([2, 0, 1], dtype=np.int32)), "increase"),
+    "data_nan": (dict(data=np.array([1.0, np.nan, 3.0])), "non-finite"),
+    "data_inf": (dict(data=np.array([1.0, 2.0, -np.inf])), "non-finite"),
+    "float_indices": (dict(indices=np.array([0.0, 2.0, 1.0])), "integers"),
+    "list_data": (dict(data=[1.0, 2.0, 3.0]), "numeric arrays"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_MALFORMED_ROWS))
+def test_malformed_sparse_rows(defect):
+    """A malformed SparseRows raises MalformedProblem before HiGHS sees it."""
+    change, message = _MALFORMED_ROWS[defect]
+    good = lp.LpProblem(objective=np.ones(3), a_in=lp.SparseRows(**_ROWS), b_in=np.ones(2))
+    assert lp.solve_lp(good).status == lp.UNBOUNDED
+    for a_in, a_eq in ((lp.SparseRows(**{**_ROWS, **change}), None),
+                       (None, lp.SparseRows(**{**_ROWS, **change}))):
+        with pytest.raises(MalformedProblem, match=message):
+            lp.LpProblem(objective=np.ones(3), a_in=a_in, b_in=None if a_in is None else [1, 1],
+                         a_eq=a_eq, b_eq=None if a_eq is None else [1, 1])
+
+
+@pytest.mark.parametrize("matrix", [sp.csr_matrix, sp.csr_array, sp.coo_matrix])
+def test_malformed_other_matrix_type(matrix):
+    """Only dense arrays and SparseRows are matrices; scipy's sparse types
+    are rejected, not converted."""
+    with pytest.raises(MalformedProblem, match="dense array or lp.SparseRows"):
+        lp.LpProblem(objective=np.ones(2), a_in=matrix(np.eye(2)), b_in=np.ones(2))
+
+
 def _adequacy_lps():
     fleet = generate_fleet(8, 10, seed=4)
     u = random_admissible_schedule(fleet, np.random.default_rng(4)).sum(axis=0)
@@ -181,7 +235,7 @@ def _solve(**problem):
 
 
 _NEAR_INFEASIBLE = lp.LpProblem(
-    objective=[1.0, 1.0], a_in=sp.csr_matrix([[1.0, 1.0], [-1.0, -1.0]]),
+    objective=[1.0, 1.0], a_in=as_rows([[1.0, 1.0], [-1.0, -1.0]]),
     b_in=[1.0, -1.0 - 1e-6], lower=[0.0, 0.0], upper=[0.6, 0.6])
 #: LP sources for the reference comparison, each with the scipy statuses
 #: its solves must end in
@@ -189,11 +243,11 @@ REFERENCE_CASES = {
     "app_ipm": (lambda: aggregate(generate_fleet(12, 12, seed=7),
                                   AggregateConfig(group_size=4, fanout=3)), {0}),
     "adequacy_simplex": (_adequacy_lps, {0, 2}),
-    "infeasible": (_solve(objective=[1.0, 1.0], a_in=sp.csr_matrix([[1.0, 1.0]]), b_in=[1.0],
-                          a_eq=sp.csr_matrix([[1.0, -1.0]]), b_eq=[0.0],
+    "infeasible": (_solve(objective=[1.0, 1.0], a_in=as_rows([[1.0, 1.0]]), b_in=[1.0],
+                          a_eq=as_rows([[1.0, -1.0]]), b_eq=[0.0],
                           lower=[1.0, 0.0], upper=[2.0, 2.0]), {2}),
-    "unbounded": (_solve(objective=[-1.0, 0.0], a_in=sp.csr_matrix([[-1.0, 0.0]]), b_in=[1.0],
-                         a_eq=sp.csr_matrix([[1.0, -1.0]]), b_eq=[0.0],
+    "unbounded": (_solve(objective=[-1.0, 0.0], a_in=as_rows([[-1.0, 0.0]]), b_in=[1.0],
+                         a_eq=as_rows([[1.0, -1.0]]), b_eq=[0.0],
                          lower=[0.0, -np.inf]), {3}),
     "dense": (lambda: lp.solve_lp(
         _random_bounded_problem(np.random.default_rng(21), 30, 10, 3)), {0}),
@@ -201,13 +255,14 @@ REFERENCE_CASES = {
     "tolerances": (lambda: [lp.solve_lp(_NEAR_INFEASIBLE, tol_feas=tol) for tol in (1e-3, 1e-7)],
                    {0, 2}),
     "no_inequalities": (_solve(objective=[1.0, -2.0, 0.5, 0.0, -1.0, 3.0],
-                               a_eq=sp.csr_matrix([[1.0, 1.0, 0.0, 2.0, 0.0, -1.0],
-                                                   [0.0, -1.0, 1.0, 0.0, 1.0, 1.0]]),
+                               a_eq=as_rows([[1.0, 1.0, 0.0, 2.0, 0.0, -1.0],
+                                             [0.0, -1.0, 1.0, 0.0, 1.0, 1.0]]),
                                b_eq=[0.5, -0.5], lower=np.full(6, -2.0),
                                upper=np.full(6, 2.0)), {0}),
     "no_equalities": (_solve(objective=-np.ones(5),
-                             a_in=sp.random(4, 5, density=0.6, random_state=3, format="csr")
-                             + sp.eye(4, 5, format="csr"),
+                             a_in=as_rows(sp.random(4, 5, density=0.6, random_state=3,
+                                                    format="csr")
+                                          + sp.eye(4, 5, format="csr")),
                              b_in=np.ones(4), lower=np.zeros(5), upper=np.full(5, 3.0)), {0}),
 }
 
@@ -233,7 +288,8 @@ def test_linprog_matches_scipy_reference(case, monkeypatch):
     seen = set()
     for c, method, kw, res in calls:
         ref = scipy_linprog(
-            c, A_ub=kw["A_ub"], b_ub=kw["b_ub"], A_eq=kw["A_eq"], b_eq=kw["b_eq"],
+            c, A_ub=as_scipy(kw["A_ub"]), b_ub=kw["b_ub"], A_eq=as_scipy(kw["A_eq"]),
+            b_eq=kw["b_eq"],
             bounds=np.column_stack([kw["lower"], kw["upper"]]), method=method,
             options={"presolve": True, "primal_feasibility_tolerance": kw["primal_tol"],
                      "dual_feasibility_tolerance": kw["dual_tol"]})
@@ -254,16 +310,31 @@ def test_linprog_matches_scipy_reference(case, monkeypatch):
         assert {method for _, method, _, _ in calls} == {lp.IPM}
 
 
+_IMPORT_AND_SOLVE = """
+import sys
+import numpy as np
+import flexbat, flexbat.cli
+from flexbat import AggregateConfig, adequacy_lp, aggregate, generate_fleet
+fleet = generate_fleet(6, 12, seed=1)
+tree = aggregate(fleet, AggregateConfig(group_size=3, fanout=2))
+print(type(adequacy_lp(fleet, np.zeros(fleet.m))).__name__, tree.battery.m)
+print(sorted(k for k in sys.modules if k.startswith('scipy.optimize')))
+print(sorted(k for k in sys.modules if k.startswith('scipy.sparse')))
+"""
+
+
 def test_import_leaves_scipy_optimize_unloaded():
-    """HiGHS's binding is loaded from its file, so importing the package and
-    its CLI never runs scipy.optimize's package import."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, flexbat, flexbat.cli; "
-         "print(sorted(k for k in sys.modules if k.startswith('scipy.optimize')))"],
-        capture_output=True, text=True, timeout=120)
+    """HiGHS's binding is loaded from its file and handed plain row arrays,
+    so importing the package and its CLI, aggregating and checking adequacy
+    never run scipy.optimize's package import or load scipy.sparse."""
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_AND_SOLVE],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "'scipy.optimize'" not in proc.stdout
-    assert "'scipy.optimize._highspy._core'" in proc.stdout
+    solved, optimize, sparse = proc.stdout.splitlines()
+    assert solved == "AdequacyVerdict 12"
+    assert "'scipy.optimize'" not in optimize
+    assert "'scipy.optimize._highspy._core'" in optimize
+    assert sparse == "[]"
 
 
 def test_missing_highs_binding_names_directory_and_version(tmp_path):

@@ -10,17 +10,12 @@ from .aggregation import (AggregateConfig, AggregationTree, aggregate,
                           nominal_for_group, save_tree, synthesize_battery)
 from .cli import (ArbitrageResult, PriceSeries, arbitrage, baseline_immediate,
                   load_prices, run_pipeline)
-from .fleet import (ChargingTask, Fleet, GenProfile, admissible_polytope,
-                    generate_fleet, load_fleet, save_fleet)
-from .geometry import (Homothet, HPolytope, VirtualBattery,
-                       battery_to_hpolytope, contains_point, fm_eliminate_one,
-                       homothet_apply, homothet_apply_battery, lemma1_sum)
+from .fleet import ChargingTask, Fleet, GenProfile, generate_fleet, load_fleet, save_fleet
+from .geometry import Homothet, VirtualBattery, homothet_apply_battery
 from .lp import LpProblem, LpSolution, check_feasible, solve_lp
-from .oracle import (AdequacyVerdict, adequacy_bruteforce, adequacy_lp,
-                     adequacy_thm1, validate_schedule)
-from .projection import (AppSolution, EliminationMap, FlexUnit,
-                         LiftedPolytope, build_app, build_opp3, eliminate,
-                         solve_app, solve_opp3)
+from .oracle import AdequacyVerdict, adequacy_lp, adequacy_thm1, validate_schedule
+from .projection import (AppSolution, EliminationMap, FlexUnit, LiftedPolytope,
+                         build_app, eliminate, solve_app)
 from .sampling import greedy_profile, hit_and_run, sample_battery
 
 __version__ = "0.1.0"

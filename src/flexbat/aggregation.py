@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (DispatchInfeasible, EmptyOrDegenerate, NotInBattery,
                      ValidationError)
 from .fleet import ChargingTask, Fleet, read_json, write_json
-from .geometry import Homothet, VirtualBattery, battery_to_hpolytope, homothet_apply_battery
+from .geometry import Homothet, VirtualBattery, homothet_apply_battery
 from .projection import (AppSolution, EliminationMap, FlexUnit, eliminate,
                          solve_app)
 
@@ -213,12 +213,12 @@ class _Solved:
 
 def _solve_chunk(label: str, units: list[FlexUnit], children: list[TreeNode],
                  coords: tuple[int, ...], nominal: VirtualBattery,
-                 cohort_key: Optional[tuple], delta: float) -> list[_Solved]:
+                 cohort_key: Optional[tuple]) -> list[_Solved]:
     """One homothet-approximation solve, with the degenerate-group retry ladder."""
     lifted = eliminate(units, coords=coords)
 
     def attempt(batt: VirtualBattery) -> AppNode:
-        app = solve_app(lifted, battery_to_hpolytope(batt, delta=delta, coords=coords))
+        app = solve_app(lifted, batt)
         return AppNode(label=label, children=tuple(children), units=tuple(units),
                        coords=coords, nominal=batt, app=app, elim=lifted.elim)
 
@@ -237,7 +237,7 @@ def _solve_chunk(label: str, units: list[FlexUnit], children: list[TreeNode],
         solo_coords = tuple(range(un.active[0], un.active[-1] + 1))
         solo = eliminate([un], coords=solo_coords)
         batt = _unit_nominal_on_span(un, solo_coords)
-        app = solve_app(solo, battery_to_hpolytope(batt, delta=delta, coords=solo_coords))
+        app = solve_app(solo, batt)
         out.append(_Solved(
             AppNode(label=f"{label}.solo{k}", children=(child,), units=(un,),
                     coords=solo_coords, nominal=batt, app=app, elim=solo.elim),
@@ -300,7 +300,7 @@ def aggregate(fleet: Fleet, config: Optional[AggregateConfig] = None) -> Aggrega
             units, children = chunks[idx]
             key = (spans[idx][0], spans[idx][-1])
             return _solve_chunk(f"s{stage_no}g{idx:03d}", units, children,
-                                spans[idx], shared[idx], key, delta)
+                                spans[idx], shared[idx], key)
 
         run = _pool(cfg.workers).map if cfg.workers > 1 and len(chunks) > 1 else map
         solved_lists = list(run(solve_one, range(len(chunks))))

@@ -21,14 +21,6 @@ class DimensionMismatch(FlexError):
     """Operands live in different ambient dimensions."""
 
 
-class MixedBases(FlexError):
-    """Homothets of different base polytopes cannot be summed directly."""
-
-
-class InfeasibleTask(FlexError):
-    """A charging task cannot reach its energy requirement in its window."""
-
-
 class BadProfile(FlexError):
     """Fleet generation profile is self-contradictory."""
 

@@ -19,9 +19,8 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import (BadProfile, DimensionMismatch, InfeasibleTask, LengthMismatch,
-                     ParseError, ValidationError)
-from .geometry import HPolytope
+from .errors import (BadProfile, DimensionMismatch, LengthMismatch, ParseError,
+                     ValidationError)
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,6 @@ class ChargingTask:
     def capacity(self, delta: float = 1.0) -> float:
         """Maximum deliverable energy within the window."""
         return self.window_length * self.p * delta
-
-    def is_deferrable(self) -> bool:
-        """Whether demand can be met with slack: e_high < (d - a) * p."""
-        return self.e_high < (self.d - self.a) * self.p
 
 
 @dataclass(frozen=True)
@@ -110,27 +105,6 @@ class Fleet:
                          e_high=float(rec["e_high_kwh"]))
             for rec in d["tasks"])
         return cls(m=int(d["m"]), tasks=tasks, delta=float(d["delta_h"]))
-
-
-def admissible_polytope(task: ChargingTask, m: int, delta: float = 1.0) -> HPolytope:
-    """Facet form of the task's admissible profiles, over its window only.
-
-    Coordinates are labelled with the global slots a..d; slots outside the
-    window are implicitly zero (tracked by the coordinate labels).
-    """
-    if task.d > m:
-        raise ValidationError(f"task {task.id}: departure {task.d} past horizon {m}")
-    if task.e_low > task.capacity(delta) + 1e-9:
-        raise InfeasibleTask(
-            f"task {task.id}: e_low={task.e_low} exceeds window capacity "
-            f"{task.capacity(delta)}")
-    w = task.window_length
-    eye = np.eye(w)
-    ones = np.full((1, w), delta)
-    a = np.vstack([eye, -eye, ones, -ones])
-    c = np.concatenate([
-        np.full(w, task.p), np.zeros(w), [task.e_high], [-task.e_low]])
-    return HPolytope(a, c, coords=tuple(task.window))
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,16 @@
-"""Polytope machinery: H-representations, homothets, virtual batteries.
+"""Virtual batteries and the homothets that scale and translate them.
 
-Everything here is stated over facet (H-)representations {x : A x <= c}.
-Fourier-Motzkin elimination is kept as a low-dimensional oracle against
-which the LP-based routes are tested.
+A battery is a box of per-slot power bounds cut by a total-energy
+interval; aggregation approximates a fleet by a homothet of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from . import lp
-from .errors import DimensionMismatch, MixedBases
-
-_ZERO_COEF = 1e-12
+from .errors import DimensionMismatch
 
 
 def fields_equal(self, other) -> bool:
@@ -31,41 +26,6 @@ def fields_equal(self, other) -> bool:
 
 
 @dataclass(frozen=True)
-class HPolytope:
-    """Solution set of finitely many inequalities A x <= c.
-
-    Coordinates may carry global slot labels through `coords` so a polytope
-    over a load's availability window remembers which hours it talks about.
-    """
-
-    a: np.ndarray
-    c: np.ndarray
-    coords: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        c = np.asarray(self.c, dtype=float).ravel()
-        if a.shape[0] != c.size:
-            raise DimensionMismatch(f"{a.shape[0]} rows vs {c.size} right-hand sides")
-        if not (np.isfinite(a).all() and np.isfinite(c).all()):
-            raise ValueError("polytope data must be finite")
-        a.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
-        if self.coords is not None and len(self.coords) != a.shape[1]:
-            raise DimensionMismatch("coordinate labels disagree with ambient dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def n_rows(self) -> int:
-        return self.a.shape[0]
-
-
-@dataclass(frozen=True)
 class Homothet:
     """Scaled-and-translated copy lambda * B + mu of some base polytope."""
 
@@ -78,9 +38,6 @@ class Homothet:
         mu = np.asarray(self.mu, dtype=float).ravel()
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
-
-    def inverse(self) -> "Homothet":
-        return Homothet(1.0 / self.lam, -self.mu / self.lam)
 
 
 @dataclass(frozen=True)
@@ -105,6 +62,9 @@ class VirtualBattery:
         hi = np.asarray(self.p_high, dtype=float).ravel()
         if lo.size != hi.size:
             raise DimensionMismatch("p_low and p_high lengths differ")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()
+                and np.isfinite([self.e_low, self.e_high]).all()):
+            raise ValueError("battery bounds and energies must be finite")
         tol = 1e-9 * max(1.0, float(np.abs(hi).max(initial=0.0)))
         if np.any(lo > hi + tol):
             raise ValueError("p_low exceeds p_high")
@@ -151,31 +111,6 @@ class VirtualBattery:
         return b
 
 
-def battery_to_hpolytope(b: VirtualBattery, delta: float = 1.0,
-                         coords: Optional[tuple[int, ...]] = None) -> HPolytope:
-    """Facet form [I; -I; delta*1; -delta*1] x <= (p_high, -p_low, e_high, -e_low)."""
-    m = b.m
-    eye = np.eye(m)
-    ones = np.full((1, m), delta)
-    a = np.vstack([eye, -eye, ones, -ones])
-    c = np.concatenate([b.p_high, -b.p_low, [b.e_high], [-b.e_low]])
-    return HPolytope(a, c, coords=coords)
-
-
-def contains_point(p: HPolytope, x: np.ndarray, tol: float = lp.TOL_FEAS) -> bool:
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != p.dim:
-        raise DimensionMismatch(f"point dim {x.size} vs polytope dim {p.dim}")
-    return bool(np.all(p.a @ x <= p.c + tol))
-
-
-def homothet_apply(h: Homothet, b: HPolytope) -> HPolytope:
-    """Image {A x <= lam*c + A mu}: x in result iff (x - mu)/lam in b."""
-    if h.mu.size != b.dim:
-        raise DimensionMismatch("translate length vs polytope dimension")
-    return HPolytope(b.a, h.lam * b.c + b.a @ h.mu, coords=b.coords)
-
-
 def homothet_apply_battery(h: Homothet, b: VirtualBattery,
                            delta: float = 1.0) -> VirtualBattery:
     """Battery image under u -> lam*u + mu at slot length `delta` (bounds
@@ -189,50 +124,3 @@ def homothet_apply_battery(h: Homothet, b: VirtualBattery,
         e_low=h.lam * b.e_low + shift,
         e_high=h.lam * b.e_high + shift,
     )
-
-
-def lemma1_sum(homothets: Sequence[Homothet],
-               base_keys: Optional[Sequence[Hashable]] = None) -> Homothet:
-    """Minkowski sum of homothets of one shared base: (sum lam_k, sum mu_k).
-
-    Valid only when every input scales the same base polytope; pass
-    `base_keys` to have that checked.
-    """
-    hs = list(homothets)
-    if not hs:
-        raise ValueError("need at least one homothet")
-    if base_keys is not None:
-        keys = set(base_keys)
-        if len(keys) > 1:
-            raise MixedBases(f"distinct bases {sorted(map(str, keys))}; "
-                             "aggregate through the pipeline instead")
-    lam = sum(h.lam for h in hs)
-    mu = np.sum([h.mu for h in hs], axis=0)
-    return Homothet(lam, mu)
-
-
-def fm_eliminate_one(p: HPolytope, coord_index: int) -> HPolytope:
-    """Exact projection dropping one coordinate (classical elimination).
-
-    Pairs each positive-coefficient row with each negative one; redundant
-    output rows are left in place.
-    """
-    if p.dim < 2:
-        raise DimensionMismatch("need at least two coordinates to eliminate one")
-    if not 0 <= coord_index < p.dim:
-        raise DimensionMismatch(f"coordinate {coord_index} out of range")
-    col = p.a[:, coord_index]
-    rest = np.delete(p.a, coord_index, axis=1)
-    pos = np.where(col > _ZERO_COEF)[0]
-    neg = np.where(col < -_ZERO_COEF)[0]
-    zero = np.where(np.abs(col) <= _ZERO_COEF)[0]
-    rows = [rest[zero]]
-    rhs = [p.c[zero]]
-    for i in pos:
-        for j in neg:
-            rows.append((-col[j]) * rest[i:i + 1] + col[i] * rest[j:j + 1])
-            rhs.append(np.array([(-col[j]) * p.c[i] + col[i] * p.c[j]]))
-    coords = None
-    if p.coords is not None:
-        coords = tuple(v for k, v in enumerate(p.coords) if k != coord_index)
-    return HPolytope(np.vstack(rows), np.concatenate(rhs), coords=coords)

@@ -127,37 +127,6 @@ def adequacy_thm1(fleet: Fleet, u: np.ndarray, budget: int = ENUM_BUDGET,
     return AdequacyVerdict(True)
 
 
-def adequacy_bruteforce(fleet: Fleet, u: np.ndarray, budget: int = ENUM_BUDGET,
-                        tol: float = 1e-9) -> AdequacyVerdict:
-    """Literal enumeration of every (alpha, beta) pair; the test-of-the-test.
-
-    Returns the first violating pair in lexicographic (alpha-major,
-    ascending bitmask) order.
-    """
-    u = np.asarray(u, dtype=float).ravel()
-    if fleet.n + fleet.m > budget:
-        raise TooLarge(f"N+m = {fleet.n + fleet.m} exceeds enumeration budget {budget}")
-    delta = fleet.delta
-    e_high = [t.e_high for t in fleet.tasks]
-    e_low = [t.e_low for t in fleet.tasks]
-    windows = [set(t.window) for t in fleet.tasks]
-    p = [t.p for t in fleet.tasks]
-    slots = list(range(1, fleet.m + 1))
-    for a_bits in range(1 << fleet.n):
-        alpha = [i for i in range(fleet.n) if a_bits >> i & 1]
-        alpha_c = [i for i in range(fleet.n) if not a_bits >> i & 1]
-        for b_bits in range(1 << fleet.m):
-            beta = [t for t in slots if b_bits >> (t - 1) & 1]
-            beta_set = set(beta)
-            term_a = sum(e_high[i] for i in alpha) - delta * sum(u[t - 1] for t in beta)
-            term_b = (delta * sum(u[t - 1] for t in slots if t not in beta_set)
-                      - sum(e_low[i] for i in alpha_c))
-            rhs = -sum(delta * len(beta_set & windows[i]) * p[i] for i in alpha_c)
-            if min(term_a, term_b) < rhs - tol:
-                return AdequacyVerdict(False, violated=(tuple(alpha), tuple(beta)))
-    return AdequacyVerdict(True)
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str

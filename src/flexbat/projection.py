@@ -8,9 +8,7 @@ onto u. `solve_app` finds the largest scaled-and-translated copy of a
 nominal battery certified to fit inside the projection, together with the
 affine rule u_tilde = W u + V that reconstructs per-unit profiles; the
 certificate is a nonnegative multiplier matrix G tying the two facet
-systems together. `solve_opp3` is the fixed-cross-section variant: the
-same LP and solve with W held at 0 (a constant rule), kept as the
-conservative reference.
+systems together.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ import numpy as np
 from . import lp
 from .errors import DimensionMismatch, EmptyOrDegenerate, EmptyUnit
 from .fleet import ChargingTask
-from .geometry import (Homothet, HPolytope, VirtualBattery, battery_to_hpolytope,
-                       fields_equal)
+from .geometry import Homothet, VirtualBattery, fields_equal
 
 S_MAX = 1e9    # s at or above S_MAX / 10 is rejected as a scale-guard hit
 S_MIN = 1e-7   # below this the homothet is reported degenerate, not huge
@@ -63,6 +60,9 @@ class FlexUnit:
         hi = np.asarray(self.hi, dtype=float).ravel()
         if lo.size != len(active) or hi.size != len(active):
             raise DimensionMismatch(f"unit {self.origin}: bounds vs active slots")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()
+                and np.isfinite([self.e_low, self.e_high]).all()):
+            raise ValueError(f"unit {self.origin}: bounds and energies must be finite")
         tol = 1e-9
         if (np.any(lo > hi + tol) or self.e_low > self.e_high + tol
                 or self.delta * lo.sum() > self.e_high + tol
@@ -98,10 +98,6 @@ class FlexUnit:
     @property
     def battery(self) -> VirtualBattery:
         return VirtualBattery(self.lo, self.hi, self.e_low, self.e_high)
-
-    @property
-    def poly(self) -> HPolytope:
-        return battery_to_hpolytope(self.battery, delta=self.delta, coords=self.active)
 
     def bound_at(self, slot: int) -> tuple[float, float]:
         k = self.active.index(slot)
@@ -234,10 +230,6 @@ class LiftedPolytope:
     def tail_block(self) -> np.ndarray:
         return self.b[:, self.m:]
 
-    def max_violation(self, z: np.ndarray, utilde_vals: np.ndarray) -> float:
-        point = np.concatenate([z, utilde_vals])
-        return float(np.max(self.b @ point - self.c, initial=0.0))
-
 
 def eliminate(units: Sequence[FlexUnit],
               coords: Optional[Sequence[int]] = None) -> LiftedPolytope:
@@ -354,37 +346,48 @@ def _csr(shape: tuple[int, int], blocks) -> lp.SparseRows:
     return lp.SparseRows(shape, indptr, indices, data)
 
 
-def _homothet_lp(lifted: LiftedPolytope, nominal: HPolytope,
-                 affine: bool) -> lp.LpProblem:
-    """LP of the homothet approximation, with the rule's W block if `affine`.
+def _facet_rhs(battery: VirtualBattery) -> np.ndarray:
+    """H of the battery's facet form F x <= H, F = [I; -I; delta 1'; -delta 1']:
+    (p_high, -p_low, e_high, -e_low)."""
+    return np.concatenate([battery.p_high, -battery.p_low,
+                           [battery.e_high], [-battery.e_low]])
+
+
+def build_app(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpProblem:
+    """LP of the homothet approximation against a nominal battery.
 
     Variables (s, G, r, W, V): minimize s subject to G F = B [I; W],
-    G H <= B [r; -V] + s c, G >= 0, s >= 0. G is n x k row-major; W is
-    m_tilde x m row-major. Without W the rule is the constant V. s has no
-    upper bound: `_checked_s` rejects a huge one after the solve.
+    G H <= B [r; -V] + s c, G >= 0, s >= 0, where F x <= H is the
+    battery's facet form at the lifted system's slot length. G is
+    n x (2m + 2) row-major; W is m_tilde x m row-major. s has no upper
+    bound: `_checked_s` rejects a huge one after the solve.
     """
-    if nominal.dim != lifted.m:
+    if battery.m != lifted.m:
         raise DimensionMismatch(
-            f"nominal dimension {nominal.dim} vs aggregate coordinates {lifted.m}")
-    f, h = nominal.a, nominal.c
+            f"nominal dimension {battery.m} vs aggregate coordinates {lifted.m}")
+    h = _facet_rhs(battery)
     b11, b12 = lifted.u_block, lifted.tail_block
-    n, m, mt, k = lifted.n_rows, lifted.m, lifted.m_tilde, f.shape[0]
+    n, m, mt, k = lifted.n_rows, lifted.m, lifted.m_tilde, h.size
     g0 = 1                                   # first column of G, r, W and V
     r0 = g0 + n * k
     w0 = r0 + m
-    v0 = w0 + (mt * m if affine else 0)
+    v0 = w0 + mt * m
     nv = v0 + mt
     rows = np.arange(n)[:, None]
+    slots = np.arange(m)
     ti, tq, t_rank = _nonzero(b12)
 
-    # row i*m + j: (G F)[i, j] - (B12 W)[i, j] = B11[i, j]
-    fj, fl, f_rank = _nonzero(f.T)
-    eq_blocks = [(rows * m + fj, f_rank, g0 + rows * k + fl, f[fl, fj])]
-    if affine:
-        slots = np.arange(m)
-        eq_blocks.append((ti[:, None] * m + slots, t_rank[:, None],
-                          w0 + tq[:, None] * m + slots, -b12[ti, tq][:, None]))
-    a_eq = _csr((n * m, nv), eq_blocks)
+    # row i*m + j: (G F)[i, j] - (B12 W)[i, j] = B11[i, j]; column j of F
+    # holds 1, -1, delta, -delta in facets j, m + j, 2m, 2m + 1
+    facets = np.stack([slots, m + slots, np.full(m, 2 * m), np.full(m, 2 * m + 1)],
+                      axis=1).ravel()
+    delta = lifted.delta
+    a_eq = _csr((n * m, nv), [
+        (rows * m + np.repeat(slots, 4), np.tile(np.arange(4), m),
+         g0 + rows * k + facets, np.tile([1.0, -1.0, delta, -delta], m)),
+        (ti[:, None] * m + slots, t_rank[:, None],
+         w0 + tq[:, None] * m + slots, -b12[ti, tq][:, None]),
+    ])
 
     # row i: -s c_i + (G H)_i - (B11 r)_i + (B12 V)_i <= 0
     ci, = np.nonzero(lifted.c)
@@ -402,19 +405,7 @@ def _homothet_lp(lifted: LiftedPolytope, nominal: HPolytope,
     objective = np.zeros(nv)
     objective[0] = 1.0
     return lp.LpProblem(objective=objective, a_in=a_in, b_in=np.zeros(n),
-                        a_eq=a_eq, b_eq=b11.ravel(), lower=lower,
-                        name="app" if affine else "opp3")
-
-
-def build_app(lifted: LiftedPolytope, nominal: HPolytope) -> lp.LpProblem:
-    """LP for the affine-rule approximation, variables (s, G, r, W, V)."""
-    return _homothet_lp(lifted, nominal, affine=True)
-
-
-def build_opp3(lifted: LiftedPolytope, nominal: HPolytope) -> lp.LpProblem:
-    """LP for the fixed-cross-section approximation: the affine-rule LP
-    with W = 0, variables (s, G, r, V)."""
-    return _homothet_lp(lifted, nominal, affine=False)
+                        a_eq=a_eq, b_eq=b11.ravel(), lower=lower, name="app")
 
 
 @dataclass(frozen=True)
@@ -425,7 +416,7 @@ class AppSolution:
     r: np.ndarray
     w: np.ndarray          # (m_tilde, m)
     v: np.ndarray          # (m_tilde,)
-    g: np.ndarray          # (n, k) certificate, nonnegative
+    g: np.ndarray          # (n, 2m + 2) certificate, nonnegative
 
     __eq__ = fields_equal
 
@@ -450,14 +441,18 @@ class AppSolution:
         """Retained coordinates for an aggregate profile z of the homothet."""
         return self.w @ z + self.rule_offset
 
-    def residuals(self, lifted: LiftedPolytope, nominal: HPolytope) -> dict[str, float]:
-        f, h = nominal.a, nominal.c
-        eq = self.g @ f - (lifted.u_block + lifted.tail_block @ self.w)
-        ineq = (self.g @ h
+    def residuals(self, lifted: LiftedPolytope,
+                  battery: VirtualBattery) -> dict[str, float]:
+        """Largest violations of G >= 0, G F = B [I; W] and
+        G H <= B [r; -V] + s c, F x <= H being the battery's facet form."""
+        g, m, delta = self.g, lifted.m, lifted.delta
+        gf = g[:, :m] - g[:, m:2 * m] + delta * (g[:, 2 * m] - g[:, 2 * m + 1])[:, None]
+        eq = gf - (lifted.u_block + lifted.tail_block @ self.w)
+        ineq = (g @ _facet_rhs(battery)
                 - (lifted.u_block @ self.r - lifted.tail_block @ self.v)
                 - self.s * lifted.c)
         return {
-            "g_negativity": float(np.max(-self.g, initial=0.0)),
+            "g_negativity": float(np.max(-g, initial=0.0)),
             "equality": float(np.abs(eq).max(initial=0.0)),
             "inequality": float(np.max(ineq, initial=0.0)),
         }
@@ -506,9 +501,9 @@ def _format_lifted(lifted: LiftedPolytope) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _solve_homothet(lifted: LiftedPolytope, nominal: HPolytope, tol: float,
-                    affine: bool) -> AppSolution:
-    """Solve the homothet LP (W = 0 unless `affine`) to an AppSolution.
+def solve_app(lifted: LiftedPolytope, battery: VirtualBattery,
+              tol: float = APP_TOL) -> AppSolution:
+    """Solve the affine-rule approximation against a nominal battery.
 
     Interior point with crossover is two to four times faster than simplex
     on these large, sparse LPs and still returns a vertex, so G stays
@@ -517,31 +512,17 @@ def _solve_homothet(lifted: LiftedPolytope, nominal: HPolytope, tol: float,
     EmptyOrDegenerate, so the caller's fallback ladder takes over.
     """
     lp.dump_text("lifted", "txt", lambda: _format_lifted(lifted))
-    problem = build_app(lifted, nominal) if affine else build_opp3(lifted, nominal)
+    problem = build_app(lifted, battery)
     sol = lp.solve_lp(problem, tol_feas=tol, tol_opt=tol, method=lp.IPM)
     s = _checked_s(sol, problem.name)
-    n, m, mt, k = lifted.n_rows, lifted.m, lifted.m_tilde, nominal.n_rows
+    n, m, mt = lifted.n_rows, lifted.m, lifted.m_tilde
     x = sol.x
-    r0 = 1 + n * k
-    v0 = r0 + m + (mt * m if affine else 0)
-    w = x[r0 + m:v0].reshape(mt, m) if affine else np.zeros((mt, m))
-    app = AppSolution(s=s, r=x[r0:r0 + m], w=w, v=x[v0:],
-                      g=np.maximum(x[1:r0].reshape(n, k), 0.0))
-    residuals = app.residuals(lifted, nominal)
+    r0 = 1 + n * (2 * m + 2)
+    v0 = r0 + m + mt * m
+    app = AppSolution(s=s, r=x[r0:r0 + m], w=x[r0 + m:v0].reshape(mt, m), v=x[v0:],
+                      g=np.maximum(x[1:r0].reshape(n, 2 * m + 2), 0.0))
+    residuals = app.residuals(lifted, battery)
     if max(residuals.values()) > CERTIFICATE_TOL:
         raise EmptyOrDegenerate(
             f"{problem.name}: certificate check failed, residuals {residuals}")
     return app
-
-
-def solve_app(lifted: LiftedPolytope, nominal: HPolytope,
-              tol: float = APP_TOL) -> AppSolution:
-    """Solve the affine-rule approximation to an AppSolution."""
-    return _solve_homothet(lifted, nominal, tol, affine=True)
-
-
-def solve_opp3(lifted: LiftedPolytope, nominal: HPolytope,
-               tol: float = APP_TOL) -> AppSolution:
-    """Solve the fixed-cross-section approximation: an AppSolution with W = 0,
-    whose constant rule is V."""
-    return _solve_homothet(lifted, nominal, tol, affine=False)

@@ -1,6 +1,6 @@
 """Random and extreme profiles inside virtual batteries.
 
-Hit-and-run over the H-representation; battery-specific wrappers strip
+Hit-and-run over inequalities A x <= c; battery-specific wrappers strip
 pinned coordinates (p_low == p_high) and optionally fix the total energy,
 walking on the corresponding slice instead.
 """
@@ -12,34 +12,36 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, TargetOutOfRange
-from .geometry import HPolytope, VirtualBattery
+from .geometry import VirtualBattery
 
 _PIN_TOL = 1e-9
 
 
-def hit_and_run(poly: HPolytope, x0: np.ndarray, n_samples: int, seed: int,
+def hit_and_run(a: np.ndarray, c: np.ndarray, x0: np.ndarray, n_samples: int, seed: int,
                 burn_in: int = 200, thin: int = 3,
                 direction_filter: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                 ) -> np.ndarray:
-    """Walk uniformly inside a bounded polytope starting from an interior x0."""
+    """Walk uniformly inside the bounded polytope {x : a x <= c} starting
+    from an interior x0."""
     x = np.asarray(x0, dtype=float).copy()
-    if x.size != poly.dim:
+    dim = a.shape[1]
+    if x.size != dim:
         raise DimensionMismatch("start point dimension vs polytope")
     rng = np.random.default_rng(seed)
-    out = np.empty((n_samples, poly.dim))
+    out = np.empty((n_samples, dim))
     taken = 0
     step = 0
     total = burn_in + n_samples * thin
     while taken < n_samples:
-        d = rng.normal(size=poly.dim)
+        d = rng.normal(size=dim)
         if direction_filter is not None:
             d = direction_filter(d)
         norm = np.linalg.norm(d)
         if norm < 1e-12:
             continue
         d /= norm
-        ad = poly.a @ d
-        slack = poly.c - poly.a @ x
+        ad = a @ d
+        slack = c - a @ x
         with np.errstate(divide="ignore"):
             ratios = slack / ad
         fwd = ratios[ad > 1e-12]
@@ -117,8 +119,7 @@ def sample_battery(b: VirtualBattery, n_samples: int, seed: int,
             [b.e_high - delta * pinned_sum], [-(b.e_low - delta * pinned_sum)],
         ])
         direction_filter = None
-    poly = HPolytope(a, c)
-    walk = hit_and_run(poly, x_full[free], n_samples, seed,
+    walk = hit_and_run(a, c, x_full[free], n_samples, seed,
                        burn_in=burn_in, thin=thin, direction_filter=direction_filter)
     out = np.tile(x_full, (n_samples, 1))
     out[:, free] = walk

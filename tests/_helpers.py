@@ -1,6 +1,12 @@
-"""Shared test utilities: independent oracles and small generators."""
+"""Shared test utilities: independent oracles and small generators.
 
+The general H-polytope form lives here: the library works on batteries
+only, and the tests compare it against these reference implementations.
+"""
+
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -10,11 +16,15 @@ from flexbat.aggregation import (AggregationTree, CohortNode, DispatchResult,
                                  Leaf)
 from flexbat.cli import ArbitrageResult, PriceSeries
 from flexbat.errors import (DimensionMismatch, DispatchInfeasible, EmptyBattery,
-                            FlexError, MalformedProblem, NotInBattery,
-                            ValidationError)
+                            EmptyOrDegenerate, FlexError, MalformedProblem,
+                            NotInBattery, TooLarge, ValidationError)
 from flexbat.fleet import ChargingTask, Fleet
-from flexbat.geometry import HPolytope, VirtualBattery, contains_point
-from flexbat.projection import S_MAX, LiftedPolytope
+from flexbat.geometry import Homothet, VirtualBattery
+from flexbat.oracle import ENUM_BUDGET, AdequacyVerdict
+from flexbat.projection import (APP_TOL, CERTIFICATE_TOL, S_MAX, AppSolution,
+                                LiftedPolytope, _checked_s, build_app)
+
+_ZERO_COEF = 1e-12
 
 
 class EmptyInner(FlexError):
@@ -23,6 +33,188 @@ class EmptyInner(FlexError):
 
 class UnboundedDirection(FlexError):
     """Support function queried along a direction with no finite maximum."""
+
+
+class MixedBases(FlexError):
+    """Homothets of different base polytopes cannot be summed directly."""
+
+
+class InfeasibleTask(FlexError):
+    """A charging task cannot reach its energy requirement in its window."""
+
+
+@dataclass(frozen=True)
+class HPolytope:
+    """Solution set of finitely many inequalities A x <= c.
+
+    Coordinates may carry global slot labels through `coords` so a polytope
+    over a load's availability window remembers which hours it talks about.
+    """
+
+    a: np.ndarray
+    c: np.ndarray
+    coords: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self):
+        a = np.atleast_2d(np.asarray(self.a, dtype=float))
+        c = np.asarray(self.c, dtype=float).ravel()
+        if a.shape[0] != c.size:
+            raise DimensionMismatch(f"{a.shape[0]} rows vs {c.size} right-hand sides")
+        if not (np.isfinite(a).all() and np.isfinite(c).all()):
+            raise ValueError("polytope data must be finite")
+        a.setflags(write=False)
+        c.setflags(write=False)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
+        if self.coords is not None and len(self.coords) != a.shape[1]:
+            raise DimensionMismatch("coordinate labels disagree with ambient dimension")
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[1]
+
+    @property
+    def n_rows(self) -> int:
+        return self.a.shape[0]
+
+
+def battery_to_hpolytope(b: VirtualBattery, delta: float = 1.0,
+                         coords: Optional[tuple[int, ...]] = None) -> HPolytope:
+    """Facet form [I; -I; delta*1; -delta*1] x <= (p_high, -p_low, e_high, -e_low)."""
+    m = b.m
+    eye = np.eye(m)
+    ones = np.full((1, m), delta)
+    a = np.vstack([eye, -eye, ones, -ones])
+    c = np.concatenate([b.p_high, -b.p_low, [b.e_high], [-b.e_low]])
+    return HPolytope(a, c, coords=coords)
+
+
+def admissible_polytope(task: ChargingTask, m: int, delta: float = 1.0) -> HPolytope:
+    """Facet form of the task's admissible profiles, over its window only.
+
+    Coordinates are labelled with the global slots a..d; slots outside the
+    window are implicitly zero (tracked by the coordinate labels).
+    """
+    if task.d > m:
+        raise ValidationError(f"task {task.id}: departure {task.d} past horizon {m}")
+    if task.e_low > task.capacity(delta) + 1e-9:
+        raise InfeasibleTask(
+            f"task {task.id}: e_low={task.e_low} exceeds window capacity "
+            f"{task.capacity(delta)}")
+    w = task.window_length
+    eye = np.eye(w)
+    ones = np.full((1, w), delta)
+    a = np.vstack([eye, -eye, ones, -ones])
+    c = np.concatenate([
+        np.full(w, task.p), np.zeros(w), [task.e_high], [-task.e_low]])
+    return HPolytope(a, c, coords=tuple(task.window))
+
+
+def is_deferrable(task: ChargingTask) -> bool:
+    """Whether demand can be met with slack: e_high < (d - a) * p."""
+    return task.e_high < (task.d - task.a) * task.p
+
+
+def contains_point(p: HPolytope, x: np.ndarray, tol: float = lp.TOL_FEAS) -> bool:
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != p.dim:
+        raise DimensionMismatch(f"point dim {x.size} vs polytope dim {p.dim}")
+    return bool(np.all(p.a @ x <= p.c + tol))
+
+
+def max_violation(lifted: LiftedPolytope, z: np.ndarray, utilde_vals: np.ndarray) -> float:
+    """Largest excess of B [z; u_tilde] over c (0 inside the lifted system)."""
+    point = np.concatenate([z, utilde_vals])
+    return float(np.max(lifted.b @ point - lifted.c, initial=0.0))
+
+
+def homothet_apply(h: Homothet, b: HPolytope) -> HPolytope:
+    """Image {A x <= lam*c + A mu}: x in result iff (x - mu)/lam in b."""
+    if h.mu.size != b.dim:
+        raise DimensionMismatch("translate length vs polytope dimension")
+    return HPolytope(b.a, h.lam * b.c + b.a @ h.mu, coords=b.coords)
+
+
+def homothet_inverse(h: Homothet) -> Homothet:
+    return Homothet(1.0 / h.lam, -h.mu / h.lam)
+
+
+def lemma1_sum(homothets: Sequence[Homothet],
+               base_keys: Optional[Sequence[Hashable]] = None) -> Homothet:
+    """Minkowski sum of homothets of one shared base: (sum lam_k, sum mu_k).
+
+    Valid only when every input scales the same base polytope; pass
+    `base_keys` to have that checked.
+    """
+    hs = list(homothets)
+    if not hs:
+        raise ValueError("need at least one homothet")
+    if base_keys is not None:
+        keys = set(base_keys)
+        if len(keys) > 1:
+            raise MixedBases(f"distinct bases {sorted(map(str, keys))}; "
+                             "aggregate through the pipeline instead")
+    lam = sum(h.lam for h in hs)
+    mu = np.sum([h.mu for h in hs], axis=0)
+    return Homothet(lam, mu)
+
+
+def fm_eliminate_one(p: HPolytope, coord_index: int) -> HPolytope:
+    """Exact projection dropping one coordinate (classical elimination).
+
+    Pairs each positive-coefficient row with each negative one; redundant
+    output rows are left in place.
+    """
+    if p.dim < 2:
+        raise DimensionMismatch("need at least two coordinates to eliminate one")
+    if not 0 <= coord_index < p.dim:
+        raise DimensionMismatch(f"coordinate {coord_index} out of range")
+    col = p.a[:, coord_index]
+    rest = np.delete(p.a, coord_index, axis=1)
+    pos = np.where(col > _ZERO_COEF)[0]
+    neg = np.where(col < -_ZERO_COEF)[0]
+    zero = np.where(np.abs(col) <= _ZERO_COEF)[0]
+    rows = [rest[zero]]
+    rhs = [p.c[zero]]
+    for i in pos:
+        for j in neg:
+            rows.append((-col[j]) * rest[i:i + 1] + col[i] * rest[j:j + 1])
+            rhs.append(np.array([(-col[j]) * p.c[i] + col[i] * p.c[j]]))
+    coords = None
+    if p.coords is not None:
+        coords = tuple(v for k, v in enumerate(p.coords) if k != coord_index)
+    return HPolytope(np.vstack(rows), np.concatenate(rhs), coords=coords)
+
+
+def adequacy_bruteforce(fleet: Fleet, u: np.ndarray, budget: int = ENUM_BUDGET,
+                        tol: float = 1e-9) -> AdequacyVerdict:
+    """Literal enumeration of every (alpha, beta) pair; the test-of-the-test.
+
+    Returns the first violating pair in lexicographic (alpha-major,
+    ascending bitmask) order.
+    """
+    u = np.asarray(u, dtype=float).ravel()
+    if fleet.n + fleet.m > budget:
+        raise TooLarge(f"N+m = {fleet.n + fleet.m} exceeds enumeration budget {budget}")
+    delta = fleet.delta
+    e_high = [t.e_high for t in fleet.tasks]
+    e_low = [t.e_low for t in fleet.tasks]
+    windows = [set(t.window) for t in fleet.tasks]
+    p = [t.p for t in fleet.tasks]
+    slots = list(range(1, fleet.m + 1))
+    for a_bits in range(1 << fleet.n):
+        alpha = [i for i in range(fleet.n) if a_bits >> i & 1]
+        alpha_c = [i for i in range(fleet.n) if not a_bits >> i & 1]
+        for b_bits in range(1 << fleet.m):
+            beta = [t for t in slots if b_bits >> (t - 1) & 1]
+            beta_set = set(beta)
+            term_a = sum(e_high[i] for i in alpha) - delta * sum(u[t - 1] for t in beta)
+            term_b = (delta * sum(u[t - 1] for t in slots if t not in beta_set)
+                      - sum(e_low[i] for i in alpha_c))
+            rhs = -sum(delta * len(beta_set & windows[i]) * p[i] for i in alpha_c)
+            if min(term_a, term_b) < rhs - tol:
+                return AdequacyVerdict(False, violated=(tuple(alpha), tuple(beta)))
+    return AdequacyVerdict(True)
 
 
 def as_scipy(mat):
@@ -332,6 +524,55 @@ def build_app_reference(lifted: LiftedPolytope, nominal: HPolytope) -> lp.LpProb
     return lp.LpProblem(objective=objective, a_in=as_rows(a_in), b_in=np.zeros(n),
                         a_eq=as_rows(a_eq), b_eq=b_eq, lower=lower, upper=upper,
                         name="app")
+
+
+def build_opp3(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpProblem:
+    """LP of the fixed-cross-section approximation: the APP LP with W = 0,
+    that is without the W columns, variables (s, G, r, V)."""
+    app = build_app(lifted, battery)
+    m, mt = lifted.m, lifted.m_tilde
+    w0 = 1 + lifted.n_rows * (2 * m + 2) + m
+    keep = np.r_[0:w0, w0 + mt * m:app.n_vars]
+    return lp.LpProblem(
+        objective=app.objective[keep],
+        a_in=as_rows(as_scipy(app.a_in)[:, keep]), b_in=app.b_in,
+        a_eq=as_rows(as_scipy(app.a_eq)[:, keep]), b_eq=app.b_eq,
+        lower=app.lower[keep], upper=app.upper[keep], name="opp3")
+
+
+def solve_opp3(lifted: LiftedPolytope, battery: VirtualBattery,
+               tol: float = APP_TOL) -> AppSolution:
+    """Solve the fixed-cross-section approximation as `solve_app` solves
+    the APP LP: an AppSolution with W = 0, whose constant rule is V, and
+    the same certificate check."""
+    problem = build_opp3(lifted, battery)
+    sol = lp.solve_lp(problem, tol_feas=tol, tol_opt=tol, method=lp.IPM)
+    s = _checked_s(sol, problem.name)
+    n, m, mt = lifted.n_rows, lifted.m, lifted.m_tilde
+    x = sol.x
+    r0 = 1 + n * (2 * m + 2)
+    app = AppSolution(s=s, r=x[r0:r0 + m], w=np.zeros((mt, m)), v=x[r0 + m:],
+                      g=np.maximum(x[1:r0].reshape(n, 2 * m + 2), 0.0))
+    residuals = app.residuals(lifted, battery)
+    if max(residuals.values()) > CERTIFICATE_TOL:
+        raise EmptyOrDegenerate(
+            f"{problem.name}: certificate check failed, residuals {residuals}")
+    return app
+
+
+def residuals_reference(sol: AppSolution, lifted: LiftedPolytope,
+                        nominal: HPolytope) -> dict[str, float]:
+    """Reference for `AppSolution.residuals`: the dense products G F and G H."""
+    f, h = nominal.a, nominal.c
+    eq = sol.g @ f - (lifted.u_block + lifted.tail_block @ sol.w)
+    ineq = (sol.g @ h
+            - (lifted.u_block @ sol.r - lifted.tail_block @ sol.v)
+            - sol.s * lifted.c)
+    return {
+        "g_negativity": float(np.max(-sol.g, initial=0.0)),
+        "equality": float(np.abs(eq).max(initial=0.0)),
+        "inequality": float(np.max(ineq, initial=0.0)),
+    }
 
 
 def primal_violations(problem: lp.LpProblem, x: np.ndarray) -> float:

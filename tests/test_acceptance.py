@@ -11,18 +11,17 @@ import time
 import numpy as np
 import pytest
 
-from _helpers import (contains_polytope, fleet_order_schedule,
+from _helpers import (contains_point, contains_polytope, fleet_order_schedule,
+                      fm_eliminate_one, homothet_apply, lemma1_sum,
                       random_admissible_schedule, random_box_polytope,
-                      random_small_fleet, rejection_samples, support_function)
+                      random_small_fleet, rejection_samples, solve_opp3,
+                      support_function)
 from flexbat.aggregation import AggregateConfig, aggregate, dispatch
 from flexbat.cli import arbitrage, baseline_immediate, demo_price_curve, main
 from flexbat.fleet import ChargingTask, Fleet, generate_fleet
-from flexbat.geometry import (Homothet, VirtualBattery, battery_to_hpolytope,
-                              contains_point, fm_eliminate_one,
-                              homothet_apply, homothet_apply_battery,
-                              lemma1_sum)
+from flexbat.geometry import Homothet, VirtualBattery, homothet_apply_battery
 from flexbat.oracle import adequacy_lp, adequacy_thm1, validate_schedule
-from flexbat.projection import LiftedPolytope, solve_app, solve_opp3
+from flexbat.projection import LiftedPolytope, solve_app
 from flexbat.sampling import greedy_profile, sample_battery
 
 
@@ -46,10 +45,9 @@ def test_criterion_1_example_golden():
         b=np.array([[-0.5, -1.0], [0.6, 1.0], [-1.0, -1.0]]),
         c=np.array([-9.0, 10.0, -10.0]), m=1, m_tilde=1)
     nominal = VirtualBattery([-0.5], [1.0], -0.5, 1.0)
-    npoly = battery_to_hpolytope(nominal)
 
-    opp3 = solve_opp3(lifted, npoly)
-    app = solve_app(lifted, npoly)
+    opp3 = solve_opp3(lifted, nominal)
+    app = solve_app(lifted, nominal)
     recovered = homothet_apply_battery(app.homothet, nominal)
     elapsed = time.perf_counter() - t0
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from flexbat import lp, projection
-from flexbat.geometry import VirtualBattery, battery_to_hpolytope
+from flexbat.geometry import VirtualBattery
 from flexbat.projection import LiftedPolytope
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -37,9 +37,11 @@ def test_bench_wrapped_attributes_resolve(monkeypatch):
         assert callable(getattr(importlib.import_module(module), attr)), f"{module}.{attr}"
 
 
-@pytest.mark.parametrize("solve, builder", [("solve_app", "build_app"),
-                                            ("solve_opp3", "build_opp3")])
+@pytest.mark.parametrize("solve, builder", [("solve_app", "build_app")])
 def test_solves_call_builder_and_solver_by_module_attribute(monkeypatch, solve, builder):
+    """The solve looks up its builder and the solver on their modules, so the
+    benchmark's wrappers see every call, and the benchmark reads the lifted
+    system's sizes from the solve's first positional argument."""
     calls = []
 
     def count(module, attr):
@@ -55,6 +57,9 @@ def test_solves_call_builder_and_solver_by_module_attribute(monkeypatch, solve, 
     count(lp, "solve_lp")
     lifted = LiftedPolytope(b=np.array([[-0.5, -1.0], [0.6, 1.0], [-1.0, -1.0]]),
                             c=np.array([-9.0, 10.0, -10.0]), m=1, m_tilde=1)
-    nominal = battery_to_hpolytope(VirtualBattery([-0.5], [1.0], -0.5, 1.0))
+    nominal = VirtualBattery([-0.5], [1.0], -0.5, 1.0)
     getattr(projection, solve)(lifted, nominal)
     assert calls == [builder, "solve_lp"]
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    assert spans._lifted_args((lifted, nominal), {}) == {"m": 1, "m_tilde": 1, "n_rows": 3}

@@ -440,6 +440,38 @@ def test_cli_dispatch_tree_short_unit_bounds_exit_4(small_tree_json, tmp_path, c
             in capsys.readouterr().err)
 
 
+def test_cli_arbitrage_battery_nan_p_low_exit_4(tmp_path, capsys):
+    """A NaN power bound in a battery file is a parse error that names the
+    file, not a NaN profile."""
+    batt_path = tmp_path / "battery.json"
+    data = VirtualBattery(np.zeros(24), np.ones(24), 2.0, 10.0).to_dict()
+    data["p_low"][5] = float("nan")
+    batt_path.write_text(json.dumps(data))
+    prices_path = tmp_path / "lmp.csv"
+    write_prices(prices_path, np.linspace(20.0, 40.0, 24))
+    profile_path = tmp_path / "p.csv"
+    assert main(["arbitrage", "--battery", str(batt_path), "--prices",
+                 str(prices_path), "--out-profile", str(profile_path)]) == 4
+    assert (f"{batt_path}: battery bounds and energies must be finite"
+            in capsys.readouterr().err)
+    assert not profile_path.exists()
+
+
+def test_cli_dispatch_tree_nan_unit_bound_exit_4(small_tree_json, tmp_path, capsys):
+    """A NaN in one unit's bounds is a parse error that names the file."""
+    data = json.loads((small_tree_json / "tree.json").read_text())
+    node = data["root"]
+    while "units" not in node:
+        node = node["children"][0]
+    unit = node["units"][0]
+    unit["hi"][0] = float("nan")
+    broken = tmp_path / "tree.json"
+    broken.write_text(json.dumps(data))
+    assert _dispatch_exit(broken, small_tree_json) == 4
+    assert (f"{broken}: unit {unit['origin']}: bounds and energies must be finite"
+            in capsys.readouterr().err)
+
+
 def test_cli_demo_subprocess(tmp_path):
     """The installed console entry point runs the tiny demo end to end."""
     outdir = tmp_path / "demo"

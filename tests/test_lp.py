@@ -12,7 +12,7 @@ from flexbat import lp
 from flexbat.aggregation import AggregateConfig, aggregate
 from flexbat.errors import MalformedProblem
 from flexbat.fleet import generate_fleet
-from flexbat.geometry import VirtualBattery, battery_to_hpolytope
+from flexbat.geometry import VirtualBattery
 from flexbat.oracle import adequacy_lp
 from flexbat.projection import FlexUnit, LiftedPolytope, build_app, eliminate
 
@@ -41,7 +41,7 @@ def test_example1_app_instance_objective():
     lifted = LiftedPolytope(
         b=np.array([[-0.5, -1.0], [0.6, 1.0], [-1.0, -1.0]]),
         c=np.array([-9.0, 10.0, -10.0]), m=1, m_tilde=1)
-    nominal = battery_to_hpolytope(VirtualBattery([-0.5], [1.0], -0.5, 1.0))
+    nominal = VirtualBattery([-0.5], [1.0], -0.5, 1.0)
     sol = lp.solve_lp(build_app(lifted, nominal))
     assert sol.status == lp.OPTIMAL
     assert sol.objective_value == pytest.approx(0.15, abs=1e-8)
@@ -171,7 +171,7 @@ def test_format_lp_sparse_rows_match_dense():
     matrices: rows by ascending column, zeros left out."""
     units = [FlexUnit.from_task(t) for t in generate_fleet(3, 12, seed=2).tasks]
     lifted = eliminate(units, coords=range(1, 13))
-    nominal = battery_to_hpolytope(VirtualBattery(np.zeros(12), np.ones(12), 0.0, 12.0))
+    nominal = VirtualBattery(np.zeros(12), np.ones(12), 0.0, 12.0)
     problem = build_app(lifted, nominal)
     assert isinstance(problem.a_in, lp.SparseRows) and lifted.m_tilde > 0
     dense = lp.LpProblem(objective=problem.objective,

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from _helpers import random_admissible_schedule, random_small_fleet
+from _helpers import (adequacy_bruteforce, random_admissible_schedule,
+                      random_small_fleet)
 from flexbat.errors import TooLarge
 from flexbat.fleet import ChargingTask, Fleet
-from flexbat.oracle import (adequacy_bruteforce, adequacy_lp, adequacy_thm1,
-                            validate_schedule)
+from flexbat.oracle import adequacy_lp, adequacy_thm1, validate_schedule
 
 SINGLE = Fleet(m=2, tasks=(ChargingTask("t0", 1, 2, 1.0, 1.0, 1.0),))
 TWIN = Fleet(m=2, tasks=(ChargingTask("t0", 1, 2, 1.0, 1.0, 1.0),

@@ -5,20 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import (as_scipy, build_app_reference, contains_polytope,
-                      random_small_fleet, reconstruct_reference)
+from _helpers import (as_scipy, battery_to_hpolytope, build_app_reference,
+                      build_opp3, contains_polytope, homothet_apply,
+                      max_violation, random_small_fleet, reconstruct_reference,
+                      residuals_reference, solve_opp3)
 from flexbat import lp, projection
 from flexbat.aggregation import (Leaf, _mean_nominal, _most_constrained,
                                  _solve_chunk, _span, _unit_nominal_on_span,
                                  partition_fleet)
 from flexbat.errors import DimensionMismatch, EmptyOrDegenerate, EmptyUnit
 from flexbat.fleet import ChargingTask, generate_fleet
-from flexbat.geometry import (HPolytope, VirtualBattery, battery_to_hpolytope,
-                              homothet_apply, homothet_apply_battery)
+from flexbat.geometry import VirtualBattery, homothet_apply_battery
 from flexbat.oracle import adequacy_lp
-from flexbat.projection import (CERTIFICATE_TOL, S_MAX, FlexUnit,
-                                LiftedPolytope, build_app, build_opp3,
-                                eliminate, solve_app, solve_opp3)
+from flexbat.projection import (CERTIFICATE_TOL, S_MAX, AppSolution, FlexUnit,
+                                LiftedPolytope, build_app, eliminate, solve_app)
 from flexbat.sampling import sample_battery
 
 EX1_LIFTED = LiftedPolytope(
@@ -47,8 +47,8 @@ def test_eliminate_single_unit_no_tilde():
     assert lifted.m == 2 and lifted.m_tilde == 0
     assert lifted.n_rows == 2 * (1 + 2)
     # membership must match the unit's own admissible set
-    assert lifted.max_violation(np.array([0.5, 0.5]), np.zeros(0)) <= 1e-12
-    assert lifted.max_violation(np.array([1.0, 1.0]), np.zeros(0)) > 0.5
+    assert max_violation(lifted, np.array([0.5, 0.5]), np.zeros(0)) <= 1e-12
+    assert max_violation(lifted, np.array([1.0, 1.0]), np.zeros(0)) > 0.5
 
 
 def test_eliminate_two_identical_units_counts():
@@ -65,9 +65,9 @@ def test_eliminate_disjoint_windows_is_product():
     lifted = eliminate(units)
     assert lifted.m_tilde == 0
     assert lifted.n_rows == 2 * (2 + 2)
-    ok = lifted.max_violation(np.array([0.7, 1.5]), np.zeros(0))
+    ok = max_violation(lifted, np.array([0.7, 1.5]), np.zeros(0))
     assert ok <= 1e-12
-    bad = lifted.max_violation(np.array([0.7, 2.5]), np.zeros(0))
+    bad = max_violation(lifted, np.array([0.7, 2.5]), np.zeros(0))
     assert bad > 0.1
 
 
@@ -98,7 +98,7 @@ def test_eliminate_membership_equivalence():
         utilde = np.zeros(lifted.m_tilde)
         for q, (i, t) in enumerate(elim.utilde):
             utilde[q] = profiles[i][units[i].active.index(t)]
-        violation = lifted.max_violation(z, utilde)
+        violation = max_violation(lifted, z, utilde)
         if feasible:
             assert violation <= 1e-9
         else:
@@ -117,8 +117,8 @@ def test_eliminate_gap_slots_pinned():
     lifted = eliminate(units, coords=(1, 2, 3, 4))
     assert lifted.m == 4
     assert lifted.elim.j_t == (0, None, None, 1)
-    assert lifted.max_violation(np.array([0.8, 0.0, 0.0, 0.8]), np.zeros(0)) <= 1e-12
-    assert lifted.max_violation(np.array([0.8, 0.1, 0.0, 0.8]), np.zeros(0)) > 1e-3
+    assert max_violation(lifted, np.array([0.8, 0.0, 0.0, 0.8]), np.zeros(0)) <= 1e-12
+    assert max_violation(lifted, np.array([0.8, 0.1, 0.0, 0.8]), np.zeros(0)) > 1e-3
 
 
 def test_eliminate_rejects_uncovered_units():
@@ -136,8 +136,7 @@ def test_flexunit_empty_rejected():
 # ------------------------------------------------------------- OPP3 and APP
 
 def test_opp3_example1_golden():
-    nominal = battery_to_hpolytope(EX1_NOMINAL)
-    sol = solve_opp3(EX1_LIFTED, nominal)
+    sol = solve_opp3(EX1_LIFTED, EX1_NOMINAL)
     assert sol.s == pytest.approx(1.125, abs=1e-6)
     assert sol.r[0] == pytest.approx(-2.75, abs=1e-6)
     assert sol.v[0] == pytest.approx(9.0, abs=1e-6)
@@ -149,8 +148,7 @@ def test_opp3_identity_when_nominal_is_box_section():
     """Nominal equal to the u-section of a product polytope: s = 1, r = 0."""
     units = [unit((1,), 1.0, 0.0, 1.0, "a"), unit((2,), 1.0, 0.0, 1.0, "b")]
     lifted = eliminate(units)
-    nominal = battery_to_hpolytope(
-        VirtualBattery([0.0, 0.0], [1.0, 1.0], 0.0, 2.0))
+    nominal = VirtualBattery([0.0, 0.0], [1.0, 1.0], 0.0, 2.0)
     sol = solve_opp3(lifted, nominal)
     assert sol.s == pytest.approx(1.0, abs=1e-7)
     np.testing.assert_allclose(sol.r, 0.0, atol=1e-7)
@@ -161,7 +159,7 @@ def test_opp3_degenerate_cross_section():
     lifted = LiftedPolytope(
         b=np.array([[1.0, -1.0], [-1.0, 1.0], [0.0, 1.0], [0.0, -1.0]]),
         c=np.array([0.0, 0.0, 1.0, 0.0]), m=1, m_tilde=1)
-    nominal = battery_to_hpolytope(VirtualBattery([0.0], [1.0], 0.0, 1.0))
+    nominal = VirtualBattery([0.0], [1.0], 0.0, 1.0)
     with pytest.raises(EmptyOrDegenerate):
         solve_opp3(lifted, nominal)
     # the affine rule sees through it: u_tilde = u recovers the full interval
@@ -170,21 +168,20 @@ def test_opp3_degenerate_cross_section():
 
 
 def test_app_example1_golden():
-    nominal = battery_to_hpolytope(EX1_NOMINAL)
-    sol = solve_app(EX1_LIFTED, nominal)
+    sol = solve_app(EX1_LIFTED, EX1_NOMINAL)
     assert sol.s == pytest.approx(0.15, abs=1e-6)
     assert sol.r[0] == pytest.approx(-0.5, abs=1e-6)
     recovered = homothet_apply_battery(sol.homothet, EX1_NOMINAL)
     assert recovered.p_low[0] == pytest.approx(0.0, abs=1e-6)
     assert recovered.p_high[0] == pytest.approx(10.0, abs=1e-6)
-    res = sol.residuals(EX1_LIFTED, nominal)
+    res = sol.residuals(EX1_LIFTED, EX1_NOMINAL)
     assert max(res.values()) <= 1e-8
 
 
 def test_app_self_approximation_single_unit():
     un = task_unit(1, 3, 2.0, 1.0, 4.0)
     lifted = eliminate([un])
-    sol = solve_app(lifted, un.poly)
+    sol = solve_app(lifted, un.battery)
     assert lifted.m_tilde == 0 and sol.w.shape == (0, 3)
     assert sol.s == pytest.approx(1.0, abs=1e-6)
     np.testing.assert_allclose(sol.r, 0.0, atol=1e-5)
@@ -195,7 +192,7 @@ def test_app_five_identical_units_scale_five():
     units = [task_unit(1, 4, 1.0, 1.2, 2.4, f"t{i}") for i in range(5)]
     lifted = eliminate(units)
     nominal = units[0].battery
-    sol = solve_app(lifted, battery_to_hpolytope(nominal))
+    sol = solve_app(lifted, nominal)
     assert sol.lam == pytest.approx(5.0, abs=1e-4)
     # sufficiency: boundary samples of the homothet battery stay adequate
     from flexbat.fleet import Fleet
@@ -219,8 +216,8 @@ def test_app_solution_invariants_random():
              for t in coords],
             float(np.mean([un.e_low for un in units])),
             float(np.mean([un.e_high for un in units])))
-        sol = solve_app(lifted, battery_to_hpolytope(nominal, coords=coords))
-        res = sol.residuals(lifted, battery_to_hpolytope(nominal))
+        sol = solve_app(lifted, nominal)
+        res = sol.residuals(lifted, nominal)
         assert sol.s > 0
         assert res["g_negativity"] <= 1e-12
         assert res["equality"] <= 1e-7
@@ -235,11 +232,11 @@ def test_decision_rule_feasibility():
         units = [FlexUnit.from_task(t) for t in fleet.tasks]
         lifted = eliminate(units)
         nominal = _mean_battery(units, lifted.elim.coords)
-        sol = solve_app(lifted, battery_to_hpolytope(nominal))
+        sol = solve_app(lifted, nominal)
         hom_battery = homothet_apply_battery(sol.homothet, nominal)
         for z in sample_battery(hom_battery, 170, seed=trial):
             utilde = sol.rule_apply(z)
-            assert lifted.max_violation(z, utilde) <= 1e-6
+            assert max_violation(lifted, z, utilde) <= 1e-6
 
 
 def _mean_battery(units, coords):
@@ -253,9 +250,8 @@ def _mean_battery(units, coords):
 
 
 def test_suboptimal_chain_example1():
-    nominal = battery_to_hpolytope(EX1_NOMINAL)
-    lam_opp3 = solve_opp3(EX1_LIFTED, nominal).lam
-    lam_app = solve_app(EX1_LIFTED, nominal).lam
+    lam_opp3 = solve_opp3(EX1_LIFTED, EX1_NOMINAL).lam
+    lam_app = solve_app(EX1_LIFTED, EX1_NOMINAL).lam
     assert lam_opp3 == pytest.approx(8.0 / 9.0, abs=1e-6)
     assert lam_app == pytest.approx(20.0 / 3.0, abs=1e-6)
     assert lam_opp3 <= lam_app
@@ -265,8 +261,8 @@ def test_app_example1_homothet_contains_opp3_section():
     """On the worked example the affine rule recovers the full projection,
     so the constant-rule cross-section sits inside its homothet."""
     npoly = battery_to_hpolytope(EX1_NOMINAL)
-    opp3 = solve_opp3(EX1_LIFTED, npoly)
-    app = solve_app(EX1_LIFTED, npoly)
+    opp3 = solve_opp3(EX1_LIFTED, EX1_NOMINAL)
+    app = solve_app(EX1_LIFTED, EX1_NOMINAL)
     inner = homothet_apply(opp3.homothet, npoly)
     outer = homothet_apply(app.homothet, npoly)
     assert contains_polytope(inner, outer)
@@ -287,12 +283,11 @@ def test_constant_rule_never_beats_affine_rule():
         units = [FlexUnit.from_task(t) for t in fleet.tasks]
         lifted = eliminate(units)
         nominal = _mean_battery(units, lifted.elim.coords)
-        npoly = battery_to_hpolytope(nominal)
         try:
-            opp3 = solve_opp3(lifted, npoly)
+            opp3 = solve_opp3(lifted, nominal)
         except EmptyOrDegenerate:
             continue
-        app = solve_app(lifted, npoly)
+        app = solve_app(lifted, nominal)
         assert opp3.lam <= app.lam + 1e-7
         # sufficiency of the weaker certificate, via the LP adequacy oracle
         small = homothet_apply_battery(opp3.homothet, nominal)
@@ -320,20 +315,18 @@ def test_translation_covariance():
         units = [FlexUnit.from_task(t) for t in fleet.tasks]
         lifted = eliminate(units)
         nominal = _mean_battery(units, lifted.elim.coords)
-        base_poly = battery_to_hpolytope(nominal)
-        base = solve_app(lifted, base_poly)
+        base = solve_app(lifted, nominal)
         w = rng.uniform(-1.0, 1.0, lifted.m)
         shifted = VirtualBattery(nominal.p_low + w, nominal.p_high + w,
                                  nominal.e_low + w.sum(), nominal.e_high + w.sum())
-        moved_poly = battery_to_hpolytope(shifted)
-        moved = solve_app(lifted, moved_poly)
+        moved = solve_app(lifted, shifted)
         assert moved.s == pytest.approx(base.s, abs=1e-6)
         carried = [
-            (replace(base, r=base.r + w, v=base.v - base.w @ w), moved_poly),
-            (replace(moved, r=moved.r - w, v=moved.v + moved.w @ w), base_poly),
+            (replace(base, r=base.r + w, v=base.v - base.w @ w), shifted),
+            (replace(moved, r=moved.r - w, v=moved.v + moved.w @ w), nominal),
         ]
-        for sol, poly in carried:
-            res = sol.residuals(lifted, poly)
+        for sol, battery in carried:
+            res = sol.residuals(lifted, battery)
             assert max(res.values()) <= 1e-9, (trial, res)
 
 
@@ -345,8 +338,7 @@ def test_app_ipm_failure_resolved_by_simplex(monkeypatch):
     lifted = eliminate([unit((1,), 1.0, 0.5, 1.0, "a"),
                         unit((4,), 1.0, 0.5, 1.0, "b")], coords=(1, 2, 3, 4))
     # the nominal draws power in the pinned gap slots: no homothet fits
-    nominal = battery_to_hpolytope(
-        VirtualBattery(np.zeros(4), np.ones(4), 1.0, 2.0))
+    nominal = VirtualBattery(np.zeros(4), np.ones(4), 1.0, 2.0)
     real = lp.linprog
     methods = []
 
@@ -367,7 +359,6 @@ def test_app_certificate_checked_after_solve(monkeypatch):
     """A solver answer to either homothet LP whose certificate does not
     hold is rejected as EmptyOrDegenerate (so the fallback ladder runs),
     whatever its status."""
-    nominal = battery_to_hpolytope(EX1_NOMINAL)
     real = lp.solve_lp
 
     def perturbed(problem, **kwargs):
@@ -379,7 +370,7 @@ def test_app_certificate_checked_after_solve(monkeypatch):
     monkeypatch.setattr(lp, "solve_lp", perturbed)
     for solve in (solve_app, solve_opp3):
         with pytest.raises(EmptyOrDegenerate, match="certificate"):
-            solve(EX1_LIFTED, nominal)
+            solve(EX1_LIFTED, EX1_NOMINAL)
 
 
 # ------------------------------------------------------------ LP assembly
@@ -390,15 +381,16 @@ def _battery_system(units, coords, p_low):
     lifted = eliminate(units, coords=coords)
     p_low = np.asarray(p_low, dtype=float)
     p_high = p_low + 1.0
-    nominal = VirtualBattery(p_low, p_high, p_low.sum(), p_high.sum())
-    return lifted, battery_to_hpolytope(nominal, coords=lifted.elim.coords)
+    delta = lifted.delta
+    return lifted, VirtualBattery(p_low, p_high, delta * p_low.sum(), delta * p_high.sum())
 
 
 @st.composite
 def lifted_systems(draw):
-    """A lifted system and a nominal over its coordinates: pinned slots
-    inside and beyond the units' union, zeros in c, H and F, and units that
-    share no slot (m_tilde == 0)."""
+    """A lifted system and a nominal battery over its coordinates, at slot
+    length 1, 0.5 or 0.25: pinned slots inside and beyond the units' union,
+    zeros in c and H, and units that share no slot (m_tilde == 0)."""
+    delta = draw(st.sampled_from([1.0, 0.5, 0.25]))
     span = draw(st.integers(1, 5))
     value = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5, -1.0])
     units = []
@@ -411,21 +403,15 @@ def lifted_systems(draw):
         e_low = lo.sum() + draw(st.sampled_from([0.0, 0.25])) * (hi.sum() - lo.sum())
         e_high = hi.sum() - draw(st.sampled_from([0.0, 0.5])) * (hi.sum() - e_low)
         units.append(FlexUnit(active=tuple(range(a, d + 1)), lo=lo, hi=hi,
-                              e_low=e_low, e_high=e_high, origin=f"u{i}"))
+                              e_low=delta * e_low, e_high=delta * e_high,
+                              origin=f"u{i}", delta=delta))
     pad = draw(st.integers(0, 2))
     coords = None if pad == 0 else tuple(range(1, span + pad + 1))
     lifted = eliminate(units, coords=coords)
     m = lifted.m
-    if draw(st.booleans()):
-        p_low = np.array(draw(st.lists(value, min_size=m, max_size=m)))
-        nominal = battery_to_hpolytope(
-            VirtualBattery(p_low, p_low + 1.0, p_low.sum(), p_low.sum() + m))
-    else:
-        rows = draw(st.integers(1, 2 * m + 2))
-        f = np.array(draw(st.lists(value, min_size=rows * m, max_size=rows * m)))
-        h = np.array(draw(st.lists(value, min_size=rows, max_size=rows)))
-        nominal = HPolytope(f.reshape(rows, m), h)
-    return lifted, nominal
+    p_low = np.array(draw(st.lists(value, min_size=m, max_size=m)))
+    return lifted, VirtualBattery(p_low, p_low + 1.0, delta * p_low.sum(),
+                                  delta * (p_low.sum() + m))
 
 
 def _csr_bytes(mat):
@@ -450,13 +436,18 @@ def _sorted_unique_columns(mat) -> bool:
 @example(_battery_system(   # nominal p_low == 0: zeros in H
     [task_unit(1, 3, 1.0, 0.5, 1.5, "a"), task_unit(2, 4, 2.0, 1.0, 2.0, "b")],
     None, np.zeros(4)))
+@example(_battery_system(   # half-hour slots: delta and -delta in F
+    [FlexUnit.from_task(ChargingTask("a", 1, 3, 1.0, 0.25, 0.75), delta=0.5),
+     FlexUnit.from_task(ChargingTask("b", 2, 4, 2.0, 0.5, 1.0), delta=0.5)],
+    None, [0.5, 0.0, 1.0, 0.0]))
 def test_build_app_matches_reference(system):
-    """The one-pass builder gives the kron/hstack builder's bytes: CSR
-    arrays, right-hand sides, objective and lower bounds. Only the former
-    bound s <= S_MAX is gone. OPP3 is the same LP without the W columns."""
-    lifted, nominal = system
-    new = build_app(lifted, nominal)
-    ref = build_app_reference(lifted, nominal)
+    """The one-pass builder gives the kron/hstack builder's bytes, from the
+    battery's facet form at the lifted system's slot length: CSR arrays,
+    right-hand sides, objective and lower bounds. Only the former bound
+    s <= S_MAX is gone. OPP3 is the same LP without the W columns."""
+    lifted, battery = system
+    new = build_app(lifted, battery)
+    ref = build_app_reference(lifted, battery_to_hpolytope(battery, lifted.delta))
     assert _csr_bytes(new.a_eq) == _csr_bytes(ref.a_eq)
     assert _csr_bytes(new.a_in) == _csr_bytes(ref.a_in)
     for name in ("b_eq", "b_in", "objective", "lower"):
@@ -464,9 +455,10 @@ def test_build_app_matches_reference(system):
     assert ref.upper[0] == S_MAX and new.upper[0] == np.inf
     assert new.upper[1:].tobytes() == ref.upper[1:].tobytes()
 
-    m, mt, w0 = lifted.m, lifted.m_tilde, 1 + lifted.n_rows * nominal.n_rows + lifted.m
+    m, mt = lifted.m, lifted.m_tilde
+    w0 = 1 + lifted.n_rows * (2 * m + 2) + m
     keep = np.r_[0:w0, w0 + mt * m:new.n_vars]
-    opp3 = build_opp3(lifted, nominal)
+    opp3 = build_opp3(lifted, battery)
     for mat, full in ((opp3.a_eq, ref.a_eq), (opp3.a_in, ref.a_in)):
         assert _sorted_unique_columns(mat)
         assert _csr_bytes(mat) == _csr_bytes(as_scipy(full)[:, keep].tocsr())
@@ -476,25 +468,44 @@ def test_build_app_matches_reference(system):
         assert getattr(opp3, name).tobytes() == getattr(new, name)[keep].tobytes(), name
 
 
+@settings(max_examples=50, deadline=None)
+@given(lifted_systems(), st.integers(0, 2**32 - 1))
+def test_residuals_match_dense_form(system, seed):
+    """`residuals` reads G F off G's column slices; at every slot length it
+    equals the dense product with the battery's facet matrix."""
+    lifted, battery = system
+    rng = np.random.default_rng(seed)
+    n, m, mt = lifted.n_rows, lifted.m, lifted.m_tilde
+    sol = AppSolution(s=float(rng.uniform(0.1, 2.0)), r=rng.normal(size=m),
+                      w=rng.normal(size=(mt, m)), v=rng.normal(size=mt),
+                      g=rng.normal(size=(n, 2 * m + 2)))
+    dense = residuals_reference(sol, lifted, battery_to_hpolytope(battery, lifted.delta))
+    assert sol.residuals(lifted, battery) == pytest.approx(dense, abs=1e-12)
+
+
 @pytest.mark.parametrize("seed", [3, 11])
 def test_solve_app_matches_reference_lp(seed, monkeypatch):
     """On fleet groups the LP without the bound on s gives the reference
-    LP's s, and both certificates hold."""
+    LP's s, both certificates hold, and the residuals computed from G's
+    column slices equal the dense G F form."""
     fleet = generate_fleet(20, 12, seed)
     solved = []
     for group in partition_fleet(fleet, 5)[:2]:
         units = [FlexUnit.from_task(t) for t in group]
         coords = _span(units)
         lifted = eliminate(units, coords=coords)
-        nominal = battery_to_hpolytope(_mean_nominal(units, coords, fleet.delta),
-                                       coords=coords)
+        nominal = _mean_nominal(units, coords, fleet.delta)
+        poly = battery_to_hpolytope(nominal, lifted.delta, coords=coords)
         new = solve_app(lifted, nominal)
         with monkeypatch.context() as patch:
-            patch.setattr(projection, "build_app", build_app_reference)
+            patch.setattr(projection, "build_app",
+                          lambda lifted, battery: build_app_reference(lifted, poly))
             ref = solve_app(lifted, nominal)
         assert new.s == pytest.approx(ref.s, rel=1e-9)
         for sol in (new, ref):
-            assert max(sol.residuals(lifted, nominal).values()) <= CERTIFICATE_TOL
+            res = sol.residuals(lifted, nominal)
+            assert max(res.values()) <= CERTIFICATE_TOL
+            assert res == pytest.approx(residuals_reference(sol, lifted, poly), abs=1e-12)
         solved.append(lifted.m_tilde)
     assert min(solved) > 0
 
@@ -515,17 +526,15 @@ def test_scale_guard_without_column_bound(monkeypatch):
         return replace(sol, x=x)
 
     monkeypatch.setattr(lp, "solve_lp", huge_s)
-    nominal = battery_to_hpolytope(EX1_NOMINAL)
     with pytest.raises(EmptyOrDegenerate, match="scale guard"):
-        solve_app(EX1_LIFTED, nominal)
+        solve_app(EX1_LIFTED, EX1_NOMINAL)
     assert calls == [np.inf]
 
     calls.clear()
     units = [task_unit(1, 3, 1.0, 0.5, 2.0, "a"), task_unit(2, 4, 2.0, 1.0, 3.0, "b")]
     coords = _span(units)
     shared = _mean_nominal(units, coords, 1.0)
-    solved = _solve_chunk("g", units, [Leaf("a"), Leaf("b")], coords, shared,
-                          (1, 4), 1.0)
+    solved = _solve_chunk("g", units, [Leaf("a"), Leaf("b")], coords, shared, (1, 4))
     assert len(calls) == 2
     assert len(solved) == 1 and solved[0].cohort_key is None
     fallback = _unit_nominal_on_span(_most_constrained(units), coords)

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 import logging
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .projection import (AppSolution, EliminationMap, FlexUnit, eliminate,
                          solve_app)
 
 TREE_FORMAT_VERSION = 1
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -265,6 +267,42 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="flexbat")
 
 
+def _run_chunks(solve: Callable[[int], T], n: int, workers: int) -> list[T]:
+    """[solve(0), ..., solve(n - 1)], each index taken by the next free of
+    the caller and workers - 1 pool threads: a caller that only waited
+    would leave one more malloc arena holding an LP's working set. After a
+    failure no further index is taken, and the lowest-index failure is
+    raised, as in a serial run."""
+    results: list = [None] * n
+    taken = iter(range(n))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        while not stop.is_set():
+            with lock:
+                k = next(taken, n)
+            if k == n:
+                return
+            try:
+                results[k] = solve(k)
+            except Exception as exc:
+                results[k] = exc
+                stop.set()
+
+    helpers = [_pool(workers - 1).submit(work) for _ in range(min(workers, n) - 1)]
+    try:
+        work()
+    finally:
+        stop.set()                # after an interrupt, helpers take no further index
+        for helper in helpers:
+            helper.result()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
 def aggregate(fleet: Fleet, config: Optional[AggregateConfig] = None) -> AggregationTree:
     """Build the full aggregation tree and its root battery."""
     cfg = config or AggregateConfig()
@@ -302,8 +340,7 @@ def aggregate(fleet: Fleet, config: Optional[AggregateConfig] = None) -> Aggrega
             return _solve_chunk(f"s{stage_no}g{idx:03d}", units, children,
                                 spans[idx], shared[idx], key)
 
-        run = _pool(cfg.workers).map if cfg.workers > 1 and len(chunks) > 1 else map
-        solved_lists = list(run(solve_one, range(len(chunks))))
+        solved_lists = _run_chunks(solve_one, len(chunks), cfg.workers)
 
         by_cohort: dict[tuple, list[AppNode]] = {}
         standalone: list[AppNode] = []

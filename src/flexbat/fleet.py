@@ -35,6 +35,8 @@ class ChargingTask:
     e_high: float
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise TypeError(f"task id must be a string, got {self.id!r}")
         if not 1 <= self.a < self.d:
             raise ValidationError(f"task {self.id}: need 1 <= a < d, got a={self.a} d={self.d}")
         if not self.p > 0:
@@ -100,7 +102,7 @@ class Fleet:
     @classmethod
     def from_dict(cls, d: dict) -> "Fleet":
         tasks = tuple(
-            ChargingTask(id=str(rec["id"]), a=int(rec["a"]), d=int(rec["d"]),
+            ChargingTask(id=rec["id"], a=int(rec["a"]), d=int(rec["d"]),
                          p=float(rec["p_kw"]), e_low=float(rec["e_low_kwh"]),
                          e_high=float(rec["e_high_kwh"]))
             for rec in d["tasks"])
@@ -227,6 +229,8 @@ def read_slots(path: str, m: Optional[int] = None,
                 values.append(float(rec[1]))
             except (IndexError, ValueError) as exc:
                 raise ParseError(f"{path}: line {line_no}: expected slot,value ({exc})") from exc
+            if not np.isfinite(values[-1]):
+                raise ParseError(f"{path}: line {line_no}: value must be finite, not {rec[1]!r}")
     if m is not None and len(values) != m:
         raise LengthMismatch(f"{path}: {len(values)} rows for horizon {m}")
     return np.asarray(values)
@@ -269,4 +273,6 @@ def load_schedule(path: str) -> tuple[list[str], np.ndarray]:
                 rows.append([float(v) for v in rec[1:]])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {line_no}: {exc}") from exc
+            if not np.isfinite(rows[-1]).all():
+                raise ParseError(f"{path}: line {line_no}: values must be finite")
     return ids, np.asarray(rows, dtype=float)

@@ -356,19 +356,21 @@ def _facet_rhs(battery: VirtualBattery) -> np.ndarray:
 def build_app(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpProblem:
     """LP of the homothet approximation against a nominal battery.
 
-    Variables (s, G, r, W, V): minimize s subject to G F = B [I; W],
-    G H <= B [r; -V] + s c, G >= 0, s >= 0, where F x <= H is the
-    battery's facet form at the lifted system's slot length. G is
-    n x (2m + 2) row-major; W is m_tilde x m row-major. s has no upper
-    bound: `_checked_s` rejects a huge one after the solve.
+    Minimize s subject to G F = B [I; W], G H <= B [r; -V] + s c, G >= 0,
+    s >= 0, F x <= H being the battery's facet form at the lifted system's
+    slot length. Row i of G is (g+, g-, e+, e-) on the facets of F = [I; -I;
+    delta 1'; -delta 1'], so G F = B [I; W] fixes g- = g+ + delta (e+ - e-)
+    - (B [I; W])_i. The LP keeps (s, G+, r, W, V) with G+ = (g+, e+, e-)
+    n x (m + 2) and W m_tilde x m, both row-major, and g- >= 0 as n m rows.
+    s has no upper bound: `_checked_s` rejects a huge one after the solve.
     """
     if battery.m != lifted.m:
         raise DimensionMismatch(
             f"nominal dimension {battery.m} vs aggregate coordinates {lifted.m}")
-    h = _facet_rhs(battery)
     b11, b12 = lifted.u_block, lifted.tail_block
-    n, m, mt, k = lifted.n_rows, lifted.m, lifted.m_tilde, h.size
-    g0 = 1                                   # first column of G, r, W and V
+    n, m, mt, k = lifted.n_rows, lifted.m, lifted.m_tilde, lifted.m + 2
+    delta, p_low = lifted.delta, battery.p_low
+    g0 = 1                                   # first column of G+, r, W and V
     r0 = g0 + n * k
     w0 = r0 + m
     v0 = w0 + mt * m
@@ -377,26 +379,28 @@ def build_app(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpProblem:
     slots = np.arange(m)
     ti, tq, t_rank = _nonzero(b12)
 
-    # row i*m + j: (G F)[i, j] - (B12 W)[i, j] = B11[i, j]; column j of F
-    # holds 1, -1, delta, -delta in facets j, m + j, 2m, 2m + 1
-    facets = np.stack([slots, m + slots, np.full(m, 2 * m), np.full(m, 2 * m + 1)],
-                      axis=1).ravel()
-    delta = lifted.delta
-    a_eq = _csr((n * m, nv), [
-        (rows * m + np.repeat(slots, 4), np.tile(np.arange(4), m),
-         g0 + rows * k + facets, np.tile([1.0, -1.0, delta, -delta], m)),
-        (ti[:, None] * m + slots, t_rank[:, None],
-         w0 + tq[:, None] * m + slots, -b12[ti, tq][:, None]),
-    ])
-
-    # row i: -s c_i + (G H)_i - (B11 r)_i + (B12 V)_i <= 0
+    # row i, G H <= B [r; -V] + s c: -s c_i + g+ . (p_high - p_low)
+    #   + e+ (e_high - delta sum p_low) - e- (e_low - delta sum p_low)
+    #   + p_low . (B12 W)_i - (B11 r)_i + (B12 V)_i <= -(B11 p_low)_i
+    # row n + i*m + j, g-[i, j] >= 0: -g+[i, j] - delta (e+ - e-)_i
+    #   + (B12 W)[i, j] <= -B11[i, j]
     ci, = np.nonzero(lifted.c)
+    shift = delta * p_low.sum()
+    h = np.concatenate([battery.p_high - p_low,
+                        [battery.e_high - shift, shift - battery.e_low]])
     hl, = np.nonzero(h)
+    pj, = np.nonzero(p_low)
     ui, uj, u_rank = _nonzero(b11)
-    a_in = _csr((n, nv), [
+    cert = n + rows * m + slots
+    a_in = _csr((n + n * m, nv), [
         (ci, 0, 0, -lifted.c[ci]),
         (rows, np.arange(hl.size), g0 + rows * k + hl, h[hl]),
+        (cert[..., None], np.arange(3), g0 + rows[..., None] * k + np.column_stack(
+            [slots, np.full(m, m), np.full(m, m + 1)]), np.array([-1.0, -delta, delta])),
         (ui, u_rank, r0 + uj, -b11[ui, uj]),
+        (ti[:, None], t_rank[:, None] * pj.size + np.arange(pj.size),
+         w0 + tq[:, None] * m + pj, b12[ti, tq][:, None] * p_low[pj]),
+        (cert[ti], t_rank[:, None], w0 + tq[:, None] * m + slots, b12[ti, tq][:, None]),
         (ti, t_rank, v0 + tq, b12[ti, tq]),
     ])
 
@@ -404,8 +408,9 @@ def build_app(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpProblem:
     lower[:r0] = 0.0
     objective = np.zeros(nv)
     objective[0] = 1.0
-    return lp.LpProblem(objective=objective, a_in=a_in, b_in=np.zeros(n),
-                        a_eq=a_eq, b_eq=b11.ravel(), lower=lower, name="app")
+    return lp.LpProblem(objective=objective, a_in=a_in,
+                        b_in=np.concatenate([-(b11 @ p_low), -b11.ravel()]),
+                        lower=lower, name="app")
 
 
 @dataclass(frozen=True)
@@ -501,6 +506,13 @@ def _format_lifted(lifted: LiftedPolytope) -> str:
     return "\n".join(rows) + "\n"
 
 
+def certificate(lifted: LiftedPolytope, half: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """G = (g+, g-, e+, e-) from `build_app`'s G+ = (g+, e+, e-), negatives zeroed."""
+    g, e = half[:, :lifted.m], half[:, lifted.m:]
+    g_minus = g + lifted.delta * (e[:, :1] - e[:, 1:]) - lifted.u_block - lifted.tail_block @ w
+    return np.maximum(np.hstack([g, g_minus, e]), 0.0)
+
+
 def solve_app(lifted: LiftedPolytope, battery: VirtualBattery,
               tol: float = APP_TOL) -> AppSolution:
     """Solve the affine-rule approximation against a nominal battery.
@@ -517,10 +529,11 @@ def solve_app(lifted: LiftedPolytope, battery: VirtualBattery,
     s = _checked_s(sol, problem.name)
     n, m, mt = lifted.n_rows, lifted.m, lifted.m_tilde
     x = sol.x
-    r0 = 1 + n * (2 * m + 2)
+    r0 = 1 + n * (m + 2)
     v0 = r0 + m + mt * m
-    app = AppSolution(s=s, r=x[r0:r0 + m], w=x[r0 + m:v0].reshape(mt, m), v=x[v0:],
-                      g=np.maximum(x[1:r0].reshape(n, 2 * m + 2), 0.0))
+    w = x[r0 + m:v0].reshape(mt, m).copy()   # copies: a view would pin all of x
+    app = AppSolution(s=s, r=x[r0:r0 + m].copy(), w=w, v=x[v0:].copy(),
+                      g=certificate(lifted, x[1:r0].reshape(n, m + 2), w))
     residuals = app.residuals(lifted, battery)
     if max(residuals.values()) > CERTIFICATE_TOL:
         raise EmptyOrDegenerate(

@@ -22,7 +22,7 @@ from flexbat.fleet import ChargingTask, Fleet
 from flexbat.geometry import Homothet, VirtualBattery
 from flexbat.oracle import ENUM_BUDGET, AdequacyVerdict
 from flexbat.projection import (APP_TOL, CERTIFICATE_TOL, S_MAX, AppSolution,
-                                LiftedPolytope, _checked_s, build_app)
+                                LiftedPolytope, _checked_s, build_app, certificate)
 
 _ZERO_COEF = 1e-12
 
@@ -526,33 +526,87 @@ def build_app_reference(lifted: LiftedPolytope, nominal: HPolytope) -> lp.LpProb
                         name="app")
 
 
+def build_app_dense(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpProblem:
+    """Reference for `build_app`: the APP LP with g- substituted out,
+    written entry by entry into a dense matrix. Variables (s, G+, r, W, V),
+    row i of G+ being (g+, e+, e-); rows i < n are G H <= B [r; -V] + s c,
+    row n + i m + j is g-[i, j] = g+[i, j] + delta (e+ - e-) - (B [I; W])[i, j] >= 0."""
+    b11, b12, c = lifted.u_block, lifted.tail_block, lifted.c
+    n, m, mt, delta = lifted.n_rows, lifted.m, lifted.m_tilde, lifted.delta
+    p_low, p_high = battery.p_low, battery.p_high
+    k = m + 2
+    r0 = 1 + n * k
+    w0 = r0 + m
+    v0 = w0 + mt * m
+    shift = delta * p_low.sum()
+    a = np.zeros((n + n * m, v0 + mt))
+    b = np.concatenate([-(b11 @ p_low), np.zeros(n * m)])
+    for i in range(n):
+        plus, e_plus, e_minus = 1 + i * k, 1 + i * k + m, 1 + i * k + m + 1
+        a[i, 0] = -c[i]
+        a[i, e_plus] = battery.e_high - shift
+        a[i, e_minus] = shift - battery.e_low
+        for j in range(m):
+            a[i, plus + j] = p_high[j] - p_low[j]
+            a[i, r0 + j] = -b11[i, j]
+            row = n + i * m + j
+            a[row, plus + j] = -1.0
+            a[row, e_plus] = -delta
+            a[row, e_minus] = delta
+            b[row] = -b11[i, j]
+            for q in range(mt):
+                a[i, w0 + q * m + j] = b12[i, q] * p_low[j]
+                a[row, w0 + q * m + j] = b12[i, q]
+        for q in range(mt):
+            a[i, v0 + q] = b12[i, q]
+    lower = np.full(a.shape[1], -np.inf)
+    lower[:r0] = 0.0
+    objective = np.zeros(a.shape[1])
+    objective[0] = 1.0
+    return lp.LpProblem(objective=objective, a_in=a, b_in=b, lower=lower, name="app")
+
+
+def solve_app_reference(lifted: LiftedPolytope, battery: VirtualBattery) -> AppSolution:
+    """The APP solved as the unsubstituted LP of `build_app_reference`, whose
+    variables carry G whole: the oracle for `solve_app`'s s."""
+    sol = lp.solve_lp(build_app_reference(lifted, battery_to_hpolytope(battery, lifted.delta)),
+                      tol_feas=APP_TOL, tol_opt=APP_TOL, method=lp.IPM)
+    s = _checked_s(sol, "app")
+    n, m, mt = lifted.n_rows, lifted.m, lifted.m_tilde
+    x = sol.x
+    r0 = 1 + n * (2 * m + 2)
+    v0 = r0 + m + mt * m
+    return AppSolution(s=s, r=x[r0:r0 + m], w=x[r0 + m:v0].reshape(mt, m), v=x[v0:],
+                       g=np.maximum(x[1:r0].reshape(n, 2 * m + 2), 0.0))
+
+
 def build_opp3(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpProblem:
     """LP of the fixed-cross-section approximation: the APP LP with W = 0,
-    that is without the W columns, variables (s, G, r, V)."""
+    that is without the W columns, variables (s, G+, r, V)."""
     app = build_app(lifted, battery)
     m, mt = lifted.m, lifted.m_tilde
-    w0 = 1 + lifted.n_rows * (2 * m + 2) + m
+    w0 = 1 + lifted.n_rows * (m + 2) + m
     keep = np.r_[0:w0, w0 + mt * m:app.n_vars]
     return lp.LpProblem(
         objective=app.objective[keep],
         a_in=as_rows(as_scipy(app.a_in)[:, keep]), b_in=app.b_in,
-        a_eq=as_rows(as_scipy(app.a_eq)[:, keep]), b_eq=app.b_eq,
         lower=app.lower[keep], upper=app.upper[keep], name="opp3")
 
 
 def solve_opp3(lifted: LiftedPolytope, battery: VirtualBattery,
                tol: float = APP_TOL) -> AppSolution:
     """Solve the fixed-cross-section approximation as `solve_app` solves
-    the APP LP: an AppSolution with W = 0, whose constant rule is V, and
-    the same certificate check."""
+    the APP LP: an AppSolution with W = 0, whose constant rule is V, G
+    rebuilt from G+, and the same certificate check."""
     problem = build_opp3(lifted, battery)
     sol = lp.solve_lp(problem, tol_feas=tol, tol_opt=tol, method=lp.IPM)
     s = _checked_s(sol, problem.name)
     n, m, mt = lifted.n_rows, lifted.m, lifted.m_tilde
     x = sol.x
-    r0 = 1 + n * (2 * m + 2)
-    app = AppSolution(s=s, r=x[r0:r0 + m], w=np.zeros((mt, m)), v=x[r0 + m:],
-                      g=np.maximum(x[1:r0].reshape(n, 2 * m + 2), 0.0))
+    r0 = 1 + n * (m + 2)
+    w = np.zeros((mt, m))
+    app = AppSolution(s=s, r=x[r0:r0 + m].copy(), w=w, v=x[r0 + m:].copy(),
+                      g=certificate(lifted, x[1:r0].reshape(n, m + 2), w))
     residuals = app.residuals(lifted, battery)
     if max(residuals.values()) > CERTIFICATE_TOL:
         raise EmptyOrDegenerate(

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import time
 from unittest import mock
 
 import numpy as np
@@ -589,15 +591,80 @@ def test_aggregate_zero_width_energy_intervals():
         assert validate_schedule(fleet, ordered, u).ok
 
 
-def test_parallel_workers_identical_results():
-    """Per-chunk solves are independent; the pool width never changes bytes."""
-    fleet = generate_fleet(20, 24, seed=31)
-    serial = aggregate(fleet, AggregateConfig(group_size=5, fanout=3, workers=1))
-    pooled = aggregate(fleet, AggregateConfig(group_size=5, fanout=3, workers=4))
-    np.testing.assert_array_equal(serial.battery.p_high, pooled.battery.p_high)
-    np.testing.assert_array_equal(serial.battery.p_low, pooled.battery.p_low)
-    assert serial.battery.e_low == pooled.battery.e_low
-    assert serial.battery.e_high == pooled.battery.e_high
+#: (fleet, group size, fanout) whose stages run 1, 2 and many chunks
+_SCHEDULER_FLEETS = (
+    (generate_fleet(4, 12, seed=1), 5, 3),
+    (generate_fleet(8, 12, seed=4), 4, 3),
+    (generate_fleet(20, 24, seed=31), 5, 3),
+)
+
+
+def test_parallel_workers_identical_results(monkeypatch):
+    """Per-chunk solves are independent; the pool width never changes
+    bytes, certificates included, whether a stage has one chunk (which
+    the caller solves alone), two, or more chunks than threads."""
+    counts = []                                  # chunks per stage
+    real = aggregation._run_chunks
+
+    def counted(solve, n, workers):
+        counts.append(n)
+        return real(solve, n, workers)
+
+    monkeypatch.setattr(aggregation, "_run_chunks", counted)
+    for fleet, group_size, fanout in _SCHEDULER_FLEETS:
+        config = AggregateConfig(group_size=group_size, fanout=fanout)
+        serial = tree_to_dict(aggregate(fleet, config), with_certificates=True)
+        for workers in (2, 3, 4, 8):
+            pooled = aggregate(fleet, dataclasses.replace(config, workers=workers))
+            assert tree_to_dict(pooled, with_certificates=True) == serial, workers
+    assert {1, 2} <= set(counts) and max(counts) > 3
+
+
+def test_parallel_chunk_failure_is_the_serial_one(monkeypatch):
+    """When chunks raise, every width raises the lowest-index failure, as a
+    serial run does, even when a later chunk fails first; the pool is
+    left intact for the next `aggregate`."""
+    fleet, group_size, fanout = _SCHEDULER_FLEETS[2]
+    real = aggregation._solve_chunk
+    errors = {"s1g001": 0.2, "s1g003": 0.0}      # label -> delay before raising
+
+    def failing(label, *args):
+        if label in errors:
+            time.sleep(errors[label])
+            raise RuntimeError(f"forced failure in {label}")
+        return real(label, *args)
+
+    config = AggregateConfig(group_size=group_size, fanout=fanout)
+    with monkeypatch.context() as patch:
+        patch.setattr(aggregation, "_solve_chunk", failing)
+        for workers in (1, 2, 3, 8):
+            with pytest.raises(RuntimeError, match="s1g001"):
+                aggregate(fleet, dataclasses.replace(config, workers=workers))
+    serial = tree_to_dict(aggregate(fleet, config), with_certificates=True)
+    for workers in (2, 3, 8):
+        pooled = aggregate(fleet, dataclasses.replace(config, workers=workers))
+        assert tree_to_dict(pooled, with_certificates=True) == serial
+
+
+def test_run_chunks_takes_every_index_once():
+    """Under frequent thread switches and more threads than cores, each
+    index is solved exactly once and its result lands in its own place."""
+    calls = []
+
+    def solve(k):
+        calls.append(k)
+        time.sleep(0)
+        return k * k
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 3, 8):
+            calls.clear()
+            assert aggregation._run_chunks(solve, 300, workers) == [k * k for k in range(300)]
+            assert sorted(calls) == list(range(300))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_tree_equality_compares_values():

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import arbitrage_lp
+from flexbat import aggregation, lp
 from flexbat.aggregation import AggregateConfig
 from flexbat.cli import (arbitrage, baseline_immediate, demo_price_curve,
                          load_prices, main, read_profile, run_pipeline,
                          write_profile)
 from flexbat.errors import (EmptyBattery, LengthMismatch, ParseError,
                             TargetOutOfRange, ValidationError)
-from flexbat.fleet import ChargingTask, Fleet, generate_fleet, save_fleet
+from flexbat.fleet import (ChargingTask, Fleet, generate_fleet, load_fleet, save_fleet,
+                           save_schedule)
 from flexbat.geometry import VirtualBattery
 from flexbat.cli import PriceSeries
 from flexbat.sampling import sample_battery
@@ -470,6 +472,74 @@ def test_cli_dispatch_tree_nan_unit_bound_exit_4(small_tree_json, tmp_path, caps
     assert _dispatch_exit(broken, small_tree_json) == 4
     assert (f"{broken}: unit {unit['origin']}: bounds and energies must be finite"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, cell", [
+    ("oracle", "nan"), ("dispatch", "inf"), ("arbitrage", "nan"), ("verify", "-inf")])
+def test_cli_non_finite_csv_cell_exit_4(small_tree_json, tmp_path, capsys, command, cell):
+    """A nan or inf cell in a profile, price or schedule CSV is a parse
+    error that names the file and line; it never reaches an LP or dispatch."""
+    d = small_tree_json
+    bad = tmp_path / "bad.csv"
+    out = tmp_path / "out.csv"
+    if command == "verify":
+        fleet = load_fleet(d / "fleet.json")
+        save_schedule([t.id for t in fleet.tasks], np.zeros((fleet.n, fleet.m)), bad)
+    elif command == "arbitrage":
+        write_prices(bad, np.linspace(20.0, 40.0, 12))
+    else:
+        write_profile(np.zeros(12), bad)
+    lines = bad.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + "," + cell
+    bad.write_text("\n".join(lines) + "\n")
+    argv = {
+        "oracle": ["--fleet", d / "fleet.json", "--profile", bad],
+        "dispatch": ["--tree", d / "tree.json", "--profile", bad, "--out", out],
+        "arbitrage": ["--battery", d / "battery.json", "--prices", bad,
+                      "--out-profile", out],
+        "verify": ["--fleet", d / "fleet.json", "--schedule", bad,
+                   "--profile", d / "zero.csv"],
+    }[command]
+    assert main([command, *map(str, argv)]) == 4
+    err = capsys.readouterr().err
+    assert f"{bad}: line 3: " in err and "must be finite" in err
+    assert not out.exists()
+
+
+def test_cli_aggregate_dump_lp(tmp_path, monkeypatch):
+    """`--dump-lp DIR` writes one `lifted_*.txt` and one `app_*.lp` per APP
+    solve: the lifted system row by row, and the LP with Minimize, Subject
+    To, Bounds and End, one constraint line per LP row and one bound line
+    per column."""
+    monkeypatch.setattr(lp, "_dump_dir", None)       # restored after the test
+    solves = []
+    real = aggregation.solve_app
+
+    def counted(lifted, battery):
+        solves.append(lifted)
+        return real(lifted, battery)
+
+    monkeypatch.setattr(aggregation, "solve_app", counted)
+    fleet_path = tmp_path / "fleet.json"
+    save_fleet(generate_fleet(6, 12, seed=3), fleet_path)
+    dump = tmp_path / "lp"
+    dump.mkdir()
+    assert main(["aggregate", "--fleet", str(fleet_path), "--out", str(tmp_path / "tree.json"),
+                 "--battery", str(tmp_path / "battery.json"), "--group-size", "3",
+                 "--fanout", "2", "--dump-lp", str(dump)]) == 0
+    lifted_files = sorted(dump.glob("lifted_*.txt"))
+    lp_files = sorted(dump.glob("app_*.lp"))
+    assert len(lifted_files) == len(lp_files) == len(solves) > 1
+    assert len(list(dump.iterdir())) == 2 * len(solves)
+    for lifted, lifted_path, lp_path in zip(solves, lifted_files, lp_files):
+        n, m, mt = lifted.n_rows, lifted.m, lifted.m_tilde
+        header, *rows = lifted_path.read_text().splitlines()
+        assert header == f"m={m} m_tilde={mt} delta={lifted.delta}" and len(rows) == n
+        text = lp_path.read_text().splitlines()
+        assert text[1] == "Minimize" and text[-1] == "End"
+        subject_to, bounds = text.index("Subject To"), text.index("Bounds")
+        assert bounds - subject_to - 1 == n + n * m
+        assert len(text) - bounds - 2 == 1 + n * (m + 2) + m + mt * m + mt
 
 
 def test_cli_demo_subprocess(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from _helpers import (InfeasibleTask, admissible_polytope, contains_point,
                       is_deferrable)
 from flexbat import lp
+from flexbat.cli import main
 from flexbat.errors import BadProfile, ParseError, ValidationError
 from flexbat.fleet import (ChargingTask, Fleet, GenProfile, generate_fleet,
                            load_fleet, load_schedule, save_fleet, save_schedule)
@@ -121,6 +122,21 @@ def test_fleet_missing_field_named(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ParseError, match="p_kw"):
         load_fleet(path)
+
+
+@pytest.mark.parametrize("task_id", [None, 7])
+def test_fleet_task_id_must_be_a_string(tmp_path, capsys, task_id):
+    """A task id that is not a JSON string is a parse error naming the
+    file, not the id `str` makes of it ("None", "7")."""
+    data = generate_fleet(3, 24, seed=1).to_dict()
+    data["tasks"][1]["id"] = task_id
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError, match=f"{path}: task id must be a string"):
+        load_fleet(path)
+    assert main(["aggregate", "--fleet", str(path), "--out", str(tmp_path / "tree.json"),
+                 "--battery", str(tmp_path / "battery.json")]) == 4
+    assert "task id must be a string" in capsys.readouterr().err
 
 
 def test_fleet_horizon_mismatch(tmp_path):

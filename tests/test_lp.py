@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import subprocess
 import sys
 
@@ -174,11 +176,11 @@ def test_format_lp_sparse_rows_match_dense():
     nominal = VirtualBattery(np.zeros(12), np.ones(12), 0.0, 12.0)
     problem = build_app(lifted, nominal)
     assert isinstance(problem.a_in, lp.SparseRows) and lifted.m_tilde > 0
-    dense = lp.LpProblem(objective=problem.objective,
-                         a_in=as_scipy(problem.a_in).toarray(), b_in=problem.b_in,
-                         a_eq=as_scipy(problem.a_eq).toarray(), b_eq=problem.b_eq,
-                         lower=problem.lower, upper=problem.upper, name=problem.name)
-    assert lp.format_lp(problem) == lp.format_lp(dense)
+    # the APP LP has inequality rows only; they stand in for equality rows too
+    sparse = replace(problem, a_eq=problem.a_in, b_eq=problem.b_in)
+    rows = as_scipy(problem.a_in).toarray()
+    dense = replace(sparse, a_in=rows, a_eq=rows)
+    assert lp.format_lp(sparse) == lp.format_lp(dense)
 
 
 #: a well-formed [[1, 0, 2], [0, 3, 0]] and one defect each

@@ -2,13 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import (as_scipy, battery_to_hpolytope, build_app_reference,
+from _helpers import (battery_to_hpolytope, build_app_dense, build_app_reference,
                       build_opp3, contains_polytope, homothet_apply,
                       max_violation, random_small_fleet, reconstruct_reference,
-                      residuals_reference, solve_opp3)
+                      residuals_reference, solve_app_reference, solve_opp3)
 from flexbat import lp, projection
 from flexbat.aggregation import (Leaf, _mean_nominal, _most_constrained,
                                  _solve_chunk, _span, _unit_nominal_on_span,
@@ -17,7 +18,7 @@ from flexbat.errors import DimensionMismatch, EmptyOrDegenerate, EmptyUnit
 from flexbat.fleet import ChargingTask, generate_fleet
 from flexbat.geometry import VirtualBattery, homothet_apply_battery
 from flexbat.oracle import adequacy_lp
-from flexbat.projection import (CERTIFICATE_TOL, S_MAX, AppSolution, FlexUnit,
+from flexbat.projection import (APP_TOL, CERTIFICATE_TOL, S_MAX, AppSolution, FlexUnit,
                                 LiftedPolytope, build_app, eliminate, solve_app)
 from flexbat.sampling import sample_battery
 
@@ -441,31 +442,55 @@ def _sorted_unique_columns(mat) -> bool:
      FlexUnit.from_task(ChargingTask("b", 2, 4, 2.0, 0.5, 1.0), delta=0.5)],
     None, [0.5, 0.0, 1.0, 0.0]))
 def test_build_app_matches_reference(system):
-    """The one-pass builder gives the kron/hstack builder's bytes, from the
-    battery's facet form at the lifted system's slot length: CSR arrays,
-    right-hand sides, objective and lower bounds. Only the former bound
-    s <= S_MAX is gone. OPP3 is the same LP without the W columns."""
+    """The one-pass builder gives the bytes of the substituted APP LP
+    written entry by entry, from the battery's facet form at the lifted
+    system's slot length: CSR arrays, right-hand sides, objective and
+    bounds. OPP3 is the same LP without the W columns."""
     lifted, battery = system
     new = build_app(lifted, battery)
-    ref = build_app_reference(lifted, battery_to_hpolytope(battery, lifted.delta))
-    assert _csr_bytes(new.a_eq) == _csr_bytes(ref.a_eq)
-    assert _csr_bytes(new.a_in) == _csr_bytes(ref.a_in)
-    for name in ("b_eq", "b_in", "objective", "lower"):
+    ref = build_app_dense(lifted, battery)
+    dense = sp.csr_matrix(ref.a_in)
+    assert new.a_eq is None and new.b_eq is None
+    assert _sorted_unique_columns(new.a_in)
+    assert _csr_bytes(new.a_in) == _csr_bytes(dense)
+    for name in ("b_in", "objective", "lower", "upper"):
         assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
-    assert ref.upper[0] == S_MAX and new.upper[0] == np.inf
-    assert new.upper[1:].tobytes() == ref.upper[1:].tobytes()
 
     m, mt = lifted.m, lifted.m_tilde
-    w0 = 1 + lifted.n_rows * (2 * m + 2) + m
+    assert new.n_vars == 1 + lifted.n_rows * (m + 2) + m + mt * m + mt
+    w0 = 1 + lifted.n_rows * (m + 2) + m
     keep = np.r_[0:w0, w0 + mt * m:new.n_vars]
     opp3 = build_opp3(lifted, battery)
-    for mat, full in ((opp3.a_eq, ref.a_eq), (opp3.a_in, ref.a_in)):
-        assert _sorted_unique_columns(mat)
-        assert _csr_bytes(mat) == _csr_bytes(as_scipy(full)[:, keep].tocsr())
-    for name in ("b_eq", "b_in"):
-        assert getattr(opp3, name).tobytes() == getattr(new, name).tobytes(), name
+    assert _sorted_unique_columns(opp3.a_in)
+    assert _csr_bytes(opp3.a_in) == _csr_bytes(dense[:, keep].tocsr())
+    assert opp3.b_in.tobytes() == new.b_in.tobytes()
     for name in ("objective", "lower", "upper"):
         assert getattr(opp3, name).tobytes() == getattr(new, name)[keep].tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifted_systems())
+@example(_battery_system(   # half-hour slots and a nominal with p_low != 0
+    [FlexUnit.from_task(ChargingTask("a", 1, 3, 1.0, 0.25, 0.75), delta=0.5),
+     FlexUnit.from_task(ChargingTask("b", 2, 4, 2.0, 0.5, 1.0), delta=0.5)],
+    None, [0.5, 0.0, 1.0, 0.0]))
+def test_app_s_matches_unsubstituted_lp(system):
+    """Substituting g- out changes no optimum: the LP with G whole
+    (`build_app_reference`) reaches the same s to 1e-9 relative at slot
+    lengths 1, 0.5 and 0.25, and where it is solvable `solve_app`'s
+    rebuilt certificate passes the residual check."""
+    lifted, battery = system
+    new = lp.solve_lp(build_app(lifted, battery), tol_feas=APP_TOL, tol_opt=APP_TOL,
+                      method=lp.IPM)
+    old = lp.solve_lp(build_app_reference(lifted, battery_to_hpolytope(battery, lifted.delta)),
+                      tol_feas=APP_TOL, tol_opt=APP_TOL, method=lp.IPM)
+    assert new.status == old.status
+    if new.status != lp.OPTIMAL:
+        return
+    assert new.objective_value == pytest.approx(old.objective_value, rel=1e-9, abs=1e-12)
+    if new.objective_value > projection.S_MIN:
+        sol = solve_app(lifted, battery)
+        assert max(sol.residuals(lifted, battery).values()) <= 1e-6
 
 
 @settings(max_examples=50, deadline=None)
@@ -484,10 +509,10 @@ def test_residuals_match_dense_form(system, seed):
 
 
 @pytest.mark.parametrize("seed", [3, 11])
-def test_solve_app_matches_reference_lp(seed, monkeypatch):
-    """On fleet groups the LP without the bound on s gives the reference
-    LP's s, both certificates hold, and the residuals computed from G's
-    column slices equal the dense G F form."""
+def test_solve_app_matches_reference_lp(seed):
+    """On fleet groups the substituted LP gives the s of the LP with G whole
+    and no bound on s, both certificates hold, and the residuals computed
+    from G's column slices equal the dense G F form."""
     fleet = generate_fleet(20, 12, seed)
     solved = []
     for group in partition_fleet(fleet, 5)[:2]:
@@ -497,10 +522,7 @@ def test_solve_app_matches_reference_lp(seed, monkeypatch):
         nominal = _mean_nominal(units, coords, fleet.delta)
         poly = battery_to_hpolytope(nominal, lifted.delta, coords=coords)
         new = solve_app(lifted, nominal)
-        with monkeypatch.context() as patch:
-            patch.setattr(projection, "build_app",
-                          lambda lifted, battery: build_app_reference(lifted, poly))
-            ref = solve_app(lifted, nominal)
+        ref = solve_app_reference(lifted, nominal)
         assert new.s == pytest.approx(ref.s, rel=1e-9)
         for sol in (new, ref):
             res = sol.residuals(lifted, nominal)
@@ -508,6 +530,23 @@ def test_solve_app_matches_reference_lp(seed, monkeypatch):
             assert res == pytest.approx(residuals_reference(sol, lifted, poly), abs=1e-12)
         solved.append(lifted.m_tilde)
     assert min(solved) > 0
+
+
+def test_solved_app_owns_its_arrays():
+    """r, W, V and G are arrays of their own, not views into the LP's
+    solution vector, which a tree node would otherwise keep alive whole."""
+    fleet = generate_fleet(20, 12, 3)
+    units = [FlexUnit.from_task(t) for t in partition_fleet(fleet, 5)[0]]
+    coords = _span(units)
+    lifted = eliminate(units, coords=coords)
+    sol = solve_app(lifted, _mean_nominal(units, coords, fleet.delta))
+    arrays = [sol.r, sol.w, sol.v, sol.g]
+    assert lifted.m_tilde > 0
+    for a in arrays:
+        assert a.base is None and a.flags.owndata
+    for k, a in enumerate(arrays):
+        for b in arrays[k + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 def test_scale_guard_without_column_bound(monkeypatch):

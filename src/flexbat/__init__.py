@@ -5,9 +5,8 @@ battery admits decomposes into admissible per-load schedules, and the
 decomposition itself falls out of the aggregation tree.
 """
 
-from .aggregation import (AggregateConfig, AggregationTree, aggregate,
-                          dispatch, load_tree, partition_fleet,
-                          nominal_for_group, save_tree, synthesize_battery)
+from .aggregation import (AggregateConfig, AggregationTree, aggregate, dispatch,
+                          load_tree, partition_fleet, save_tree, synthesize_battery)
 from .cli import (ArbitrageResult, PriceSeries, arbitrage, baseline_immediate,
                   load_prices, run_pipeline)
 from .fleet import ChargingTask, Fleet, GenProfile, generate_fleet, load_fleet, save_fleet

@@ -38,6 +38,10 @@ T = TypeVar("T")
 class Leaf:
     task_id: str
 
+    def __post_init__(self):
+        if not isinstance(self.task_id, str):
+            raise TypeError(f"leaf task id must be a string, got {self.task_id!r}")
+
 
 @dataclass(frozen=True)
 class AppNode:
@@ -169,21 +173,6 @@ def _mean_nominal(units: Sequence[FlexUnit], coords: Sequence[int],
     e_high = min(max(e_high, delta * lo.sum()), delta * hi.sum())
     e_low = min(e_low, e_high)
     return VirtualBattery(lo, hi, e_low, e_high)
-
-
-def nominal_for_group(group: Sequence[ChargingTask], delta: float = 1.0) -> VirtualBattery:
-    """Group-average battery over the group's span (min arrival..max departure).
-
-    Upper bounds are the column averages of the max-rate charging matrix;
-    lower bounds are zero; the energy interval is the group mean, clipped
-    into what the power bounds can reach.
-    """
-    if not group:
-        raise ValidationError("empty group has no nominal battery")
-    units = [FlexUnit.from_task(t, delta) for t in group]
-    a0 = min(t.a for t in group)
-    d0 = max(t.d for t in group)
-    return _mean_nominal(units, range(a0, d0 + 1), delta)
 
 
 def _span(units: Sequence[FlexUnit]) -> tuple[int, ...]:
@@ -540,15 +529,15 @@ def dispatch(tree: AggregationTree, u: np.ndarray, tol: float = 1e-6) -> Dispatc
     Violations up to `tol` (solver noise) are clamped onto the admissible
     bounds and recorded in `clamped`, in walk order: depth first, a unit's
     own entries before those of its subtree. Anything larger raises, naming
-    the first such entry in walk order, since the tree's certificates should
-    make it impossible. The tree is split one level at a time: each app
-    node on the level applies its decision rule, then a few array operations
-    rebuild, clamp and hand down the units' powers of the whole level. The
-    index plan for this is compiled from the tree on its first dispatch and
-    cached on the tree object (never saved with it). Every output byte is
-    that of a node-by-node walk: the matrix-vector product stays per node,
-    and every other step is elementwise or subtracts rows in the walk's
-    order.
+    the first such entry in walk order, since each node's fit, proved when
+    it was solved, rules it out. The tree is split one level at a time: each
+    app node on the level applies its decision rule, then a few array
+    operations rebuild, clamp and hand down the units' powers of the whole
+    level. The index plan for this is compiled from the tree on its first
+    dispatch and cached on the tree object (never saved with it). Every
+    output byte is that of a node-by-node walk: the matrix-vector product
+    stays per node, and every other step is elementwise or subtracts rows in
+    the walk's order.
     """
     u = np.asarray(u, dtype=float).ravel()
     if u.size != tree.m:
@@ -589,7 +578,7 @@ def dispatch(tree: AggregationTree, u: np.ndarray, tol: float = 1e-6) -> Dispatc
                           clamped=tuple(clamped))
 
 
-def _node_to_dict(node: TreeNode, with_certificates: bool) -> dict:
+def _node_to_dict(node: TreeNode) -> dict:
     if isinstance(node, Leaf):
         return {"kind": "leaf", "task_id": node.task_id}
     if isinstance(node, AppNode):
@@ -598,8 +587,7 @@ def _node_to_dict(node: TreeNode, with_certificates: bool) -> dict:
             "label": node.label,
             "coords": list(node.coords),
             "nominal": node.nominal.to_dict(),
-            "app": node.app.to_dict(group_ids=[un.origin for un in node.units],
-                                    with_certificate=with_certificates),
+            "app": node.app.to_dict(group_ids=[un.origin for un in node.units]),
             "elim": node.elim.to_dict(),
             "units": [
                 {"active": list(un.active), "lo": [float(v) for v in un.lo],
@@ -607,14 +595,14 @@ def _node_to_dict(node: TreeNode, with_certificates: bool) -> dict:
                  "e_high_kwh": un.e_high, "origin": un.origin}
                 for un in node.units
             ],
-            "children": [_node_to_dict(c, with_certificates) for c in node.children],
+            "children": [_node_to_dict(c) for c in node.children],
         }
     return {
         "kind": "cohort",
         "label": node.label,
         "coords": list(node.coords),
         "base": node.base.to_dict(),
-        "children": [_node_to_dict(c, with_certificates) for c in node.children],
+        "children": [_node_to_dict(c) for c in node.children],
     }
 
 
@@ -641,7 +629,7 @@ def _node_from_dict(d: dict, delta: float) -> TreeNode:
     raise ValidationError(f"unknown tree node kind {kind!r}")
 
 
-def tree_to_dict(tree: AggregationTree, with_certificates: bool = False) -> dict:
+def tree_to_dict(tree: AggregationTree) -> dict:
     return {
         "version": TREE_FORMAT_VERSION,
         "m": tree.m,
@@ -651,7 +639,7 @@ def tree_to_dict(tree: AggregationTree, with_certificates: bool = False) -> dict
         "stage1_cohorts": tree.stage1_cohorts,
         "config": tree.config,
         "battery": tree.battery.to_dict(),
-        "root": _node_to_dict(tree.root, with_certificates),
+        "root": _node_to_dict(tree.root),
     }
 
 
@@ -669,8 +657,8 @@ def tree_from_dict(d: dict) -> AggregationTree:
         config=dict(d["config"]))
 
 
-def save_tree(tree: AggregationTree, path: str, with_certificates: bool = False) -> None:
-    write_json(path, tree_to_dict(tree, with_certificates))
+def save_tree(tree: AggregationTree, path: str) -> None:
+    write_json(path, tree_to_dict(tree))
 
 
 def load_tree(path: str) -> AggregationTree:

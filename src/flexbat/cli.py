@@ -3,8 +3,8 @@
 Exit codes: 0 ok, 2 validation failure, 3 degenerate aggregation, 4 I/O.
 Worker-pool width comes from --workers or the FLEX_WORKERS environment
 variable. Arbitrage is solved in closed form, not by an LP solver, so
---dump-lp writes only the aggregation's LPs. Files are read and written
-through the shared JSON and slot-CSV functions in `fleet`.
+--dump-lp writes only the aggregation's LPs, and only while its command
+runs. Files go through the shared JSON and slot-CSV functions in `fleet`.
 """
 
 from __future__ import annotations
@@ -158,8 +158,7 @@ def load_battery(path: str) -> VirtualBattery:
     return read_json(path, VirtualBattery.from_dict)
 
 
-def run_pipeline(fleet: Fleet, prices: PriceSeries, config: AggregateConfig,
-                 outdir: str, with_certificates: bool = False) -> dict:
+def run_pipeline(fleet: Fleet, prices: PriceSeries, config: AggregateConfig, outdir: str) -> dict:
     """Aggregate, optimize, dispatch, verify; write the full report bundle."""
     os.makedirs(outdir, exist_ok=True)
     if prices.m != fleet.m:
@@ -167,7 +166,7 @@ def run_pipeline(fleet: Fleet, prices: PriceSeries, config: AggregateConfig,
     tree = aggregate(fleet, config)
     battery = tree.battery
     save_battery(battery, os.path.join(outdir, "battery.json"))
-    save_tree(tree, os.path.join(outdir, "tree.json"), with_certificates)
+    save_tree(tree, os.path.join(outdir, "tree.json"))
 
     arb = arbitrage(battery, prices, fleet.delta)
     target = float(arb.z.sum() * fleet.delta)
@@ -252,8 +251,6 @@ def _add_aggregate_knobs(parser, seed_default=None):
     parser.add_argument("--seed", type=int, default=seed_default)
     parser.add_argument("--workers", type=int, default=None,
                         help="worker-pool width (default: FLEX_WORKERS, else 1)")
-    parser.add_argument("--with-certificate", action="store_true",
-                        help="include multiplier matrices in tree.json")
     parser.add_argument("--dump-lp", metavar="DIR", default=None,
                         help="write every solved LP as text into DIR")
 
@@ -322,7 +319,7 @@ def _cmd_aggregate(args) -> int:
         lp.set_dump_dir(args.dump_lp)
     fleet = load_fleet(args.fleet)
     tree = aggregate(fleet, config)
-    save_tree(tree, args.out, args.with_certificate)
+    save_tree(tree, args.out)
     save_battery(tree.battery, args.battery)
     print(f"wrote {args.out} and {args.battery} "
           f"({tree.n_stages} stages, {tree.stage1_groups} groups, "
@@ -401,8 +398,7 @@ def _cmd_demo(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     save_fleet(fleet, os.path.join(args.outdir, "fleet.json"))
     write_slots(os.path.join(args.outdir, "lmp.csv"), {"price": prices.prices * 1e3})
-    report = run_pipeline(fleet, prices, config, args.outdir,
-                          with_certificates=args.with_certificate)
+    report = run_pipeline(fleet, prices, config, args.outdir)
     green = report["verification"]["green"]
     print(f"demo report: cost {report['arbitrage']['cost_usd']:.2f} $ vs "
           f"baseline {report['arbitrage']['baseline_cost_usd']:.2f} $ "
@@ -435,6 +431,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FlexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        lp.set_dump_dir(None)
 
 
 if __name__ == "__main__":

@@ -91,6 +91,21 @@ class VirtualBattery:
             and self.e_low - tol <= energy <= self.e_high + tol
         )
 
+    def support(self, a: np.ndarray, delta: float = 1.0) -> np.ndarray:
+        """max a_i . u over the (nonempty) battery at slot length `delta`, for
+        each row a_i of `a`: a fractional knapsack that fills from p_low in
+        descending a_i order, up to the energy in [e_low, e_high] nearest
+        that of the box's own maximiser (every slot with a_ij > 0 full)."""
+        room = np.maximum(self.p_high - self.p_low, 0.0)
+        base = self.p_low.sum()
+        added = np.clip(np.where(a > 0, room, 0.0).sum(axis=1),
+                        self.e_low / delta - base, self.e_high / delta - base)
+        order = np.argsort(-a, axis=1, kind="stable")
+        room_sorted = room[order]
+        fill = np.clip(added[:, None] - np.cumsum(room_sorted, axis=1) + room_sorted,
+                       0.0, room_sorted)
+        return a @ self.p_low + (np.take_along_axis(a, order, axis=1) * fill).sum(axis=1)
+
     def to_dict(self) -> dict:
         return {
             "m": self.m,

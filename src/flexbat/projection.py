@@ -5,10 +5,10 @@ total-energy budget over its active slots) induces a lifted polytope over
 (u, u_tilde): the aggregate profile plus the non-eliminated per-unit
 coordinates. The aggregate flexibility is the projection of that polytope
 onto u. `solve_app` finds the largest scaled-and-translated copy of a
-nominal battery certified to fit inside the projection, together with the
-affine rule u_tilde = W u + V that reconstructs per-unit profiles; the
-certificate is a nonnegative multiplier matrix G tying the two facet
-systems together.
+nominal battery that fits inside the projection, together with the affine
+rule u_tilde = W u + V that reconstructs per-unit profiles. The LP proves
+the fit with multipliers G; `check_app` proves it again from (s, r, W, V)
+alone, in closed form, after every solve.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .geometry import Homothet, VirtualBattery, fields_equal
 S_MAX = 1e9    # s at or above S_MAX / 10 is rejected as a scale-guard hit
 S_MIN = 1e-7   # below this the homothet is reported degenerate, not huge
 APP_TOL = 1e-9
-# largest certificate residual (G >= 0, G F = B [I; W], G H <= B [r; -V] + s c)
-# accepted from a solved APP LP; solves on benchmark fleets stay below 1e-12
+# largest violation of h_B((B [I; W])_i) <= (B [r; -V])_i + s c_i accepted
+# from a solved APP LP; solves on benchmark fleets stay below 1e-12
 CERTIFICATE_TOL = 1e-6
 _PAD_ZERO = np.zeros(1)   # the 0.0 that padded `gather_plan` indices point at
 
@@ -346,13 +346,6 @@ def _csr(shape: tuple[int, int], blocks) -> lp.SparseRows:
     return lp.SparseRows(shape, indptr, indices, data)
 
 
-def _facet_rhs(battery: VirtualBattery) -> np.ndarray:
-    """H of the battery's facet form F x <= H, F = [I; -I; delta 1'; -delta 1']:
-    (p_high, -p_low, e_high, -e_low)."""
-    return np.concatenate([battery.p_high, -battery.p_low,
-                           [battery.e_high], [-battery.e_low]])
-
-
 def build_app(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpProblem:
     """LP of the homothet approximation against a nominal battery.
 
@@ -421,7 +414,6 @@ class AppSolution:
     r: np.ndarray
     w: np.ndarray          # (m_tilde, m)
     v: np.ndarray          # (m_tilde,)
-    g: np.ndarray          # (n, 2m + 2) certificate, nonnegative
 
     __eq__ = fields_equal
 
@@ -446,24 +438,7 @@ class AppSolution:
         """Retained coordinates for an aggregate profile z of the homothet."""
         return self.w @ z + self.rule_offset
 
-    def residuals(self, lifted: LiftedPolytope,
-                  battery: VirtualBattery) -> dict[str, float]:
-        """Largest violations of G >= 0, G F = B [I; W] and
-        G H <= B [r; -V] + s c, F x <= H being the battery's facet form."""
-        g, m, delta = self.g, lifted.m, lifted.delta
-        gf = g[:, :m] - g[:, m:2 * m] + delta * (g[:, 2 * m] - g[:, 2 * m + 1])[:, None]
-        eq = gf - (lifted.u_block + lifted.tail_block @ self.w)
-        ineq = (g @ _facet_rhs(battery)
-                - (lifted.u_block @ self.r - lifted.tail_block @ self.v)
-                - self.s * lifted.c)
-        return {
-            "g_negativity": float(np.max(-g, initial=0.0)),
-            "equality": float(np.abs(eq).max(initial=0.0)),
-            "inequality": float(np.max(ineq, initial=0.0)),
-        }
-
-    def to_dict(self, group_ids: Optional[Sequence[str]] = None,
-                with_certificate: bool = False) -> dict:
+    def to_dict(self, group_ids: Optional[Sequence[str]] = None) -> dict:
         d = {
             "s": self.s,
             "r": [float(x) for x in self.r],
@@ -474,18 +449,18 @@ class AppSolution:
         }
         if group_ids is not None:
             d["group_ids"] = list(group_ids)
-        if with_certificate:
-            d["G"] = [[float(x) for x in row] for row in self.g]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "AppSolution":
-        g = np.asarray(d.get("G", []), dtype=float)
-        if g.size == 0:
-            g = np.zeros((0, 0))
-        return cls(s=float(d["s"]), r=np.asarray(d["r"], float),
-                   w=np.asarray(d["W"], float).reshape(len(d["V"]), len(d["r"])),
-                   v=np.asarray(d["V"], float), g=g)
+        """A stale "G" key is ignored. A non-finite number or an s <= 0 raises
+        ValueError, which `read_json` reports as a parse error naming the file."""
+        app = cls(s=float(d["s"]), r=np.asarray(d["r"], float),
+                  w=np.asarray(d["W"], float).reshape(len(d["V"]), len(d["r"])),
+                  v=np.asarray(d["V"], float))
+        if not (app.s > 0 and all(np.isfinite(x).all() for x in (app.s, app.r, app.w, app.v))):
+            raise ValueError("app s, r, W and V must be finite, and s positive")
+        return app
 
 
 def _checked_s(sol: lp.LpSolution, what: str) -> float:
@@ -506,11 +481,17 @@ def _format_lifted(lifted: LiftedPolytope) -> str:
     return "\n".join(rows) + "\n"
 
 
-def certificate(lifted: LiftedPolytope, half: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """G = (g+, g-, e+, e-) from `build_app`'s G+ = (g+, e+, e-), negatives zeroed."""
-    g, e = half[:, :lifted.m], half[:, lifted.m:]
-    g_minus = g + lifted.delta * (e[:, :1] - e[:, 1:]) - lifted.u_block - lifted.tail_block @ w
-    return np.maximum(np.hstack([g, g_minus, e]), 0.0)
+def check_app(lifted: LiftedPolytope, battery: VirtualBattery,
+              app: AppSolution) -> tuple[float, int]:
+    """Worst slack of the fit, and its row, from (s, r, W, V) alone. By LP
+    duality the homothet fits exactly when h_B((B11 + B12 W)_i) <= (B11 r -
+    B12 V)_i + s c_i on every lifted row i, h_B being the battery's support
+    function; a NaN anywhere gives a NaN slack."""
+    b11, b12 = lifted.u_block, lifted.tail_block
+    slack = (b11 @ app.r - b12 @ app.v + app.s * lifted.c
+             - battery.support(b11 + b12 @ app.w, lifted.delta))
+    row = int(np.argmin(slack))
+    return float(slack[row]), row
 
 
 def solve_app(lifted: LiftedPolytope, battery: VirtualBattery,
@@ -518,10 +499,10 @@ def solve_app(lifted: LiftedPolytope, battery: VirtualBattery,
     """Solve the affine-rule approximation against a nominal battery.
 
     Interior point with crossover is two to four times faster than simplex
-    on these large, sparse LPs and still returns a vertex, so G stays
-    sparse. The certificate is checked against the LP data instead of
-    trusting the solver's status: a residual above CERTIFICATE_TOL raises
-    EmptyOrDegenerate, so the caller's fallback ladder takes over.
+    on these large, sparse LPs and still returns a vertex. The fit is
+    proved by `check_app` instead of trusting the solver's status: a slack
+    below -CERTIFICATE_TOL, or NaN, raises EmptyOrDegenerate, so the
+    caller's fallback ladder takes over.
     """
     lp.dump_text("lifted", "txt", lambda: _format_lifted(lifted))
     problem = build_app(lifted, battery)
@@ -531,11 +512,10 @@ def solve_app(lifted: LiftedPolytope, battery: VirtualBattery,
     x = sol.x
     r0 = 1 + n * (m + 2)
     v0 = r0 + m + mt * m
-    w = x[r0 + m:v0].reshape(mt, m).copy()   # copies: a view would pin all of x
-    app = AppSolution(s=s, r=x[r0:r0 + m].copy(), w=w, v=x[v0:].copy(),
-                      g=certificate(lifted, x[1:r0].reshape(n, m + 2), w))
-    residuals = app.residuals(lifted, battery)
-    if max(residuals.values()) > CERTIFICATE_TOL:
-        raise EmptyOrDegenerate(
-            f"{problem.name}: certificate check failed, residuals {residuals}")
+    # copies: a view would pin all of x
+    app = AppSolution(s=s, r=x[r0:r0 + m].copy(), w=x[r0 + m:v0].reshape(mt, m).copy(),
+                      v=x[v0:].copy())
+    slack, row = check_app(lifted, battery, app)
+    if not slack >= -CERTIFICATE_TOL:
+        raise EmptyOrDegenerate(f"{problem.name}: fit check failed, slack {slack:g} at row {row}")
     return app

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from flexbat import lp
 from flexbat.aggregation import (AggregationTree, CohortNode, DispatchResult,
-                                 Leaf)
+                                 Leaf, _mean_nominal)
 from flexbat.cli import ArbitrageResult, PriceSeries
 from flexbat.errors import (DimensionMismatch, DispatchInfeasible, EmptyBattery,
                             EmptyOrDegenerate, FlexError, MalformedProblem,
@@ -21,8 +21,8 @@ from flexbat.errors import (DimensionMismatch, DispatchInfeasible, EmptyBattery,
 from flexbat.fleet import ChargingTask, Fleet
 from flexbat.geometry import Homothet, VirtualBattery
 from flexbat.oracle import ENUM_BUDGET, AdequacyVerdict
-from flexbat.projection import (APP_TOL, CERTIFICATE_TOL, S_MAX, AppSolution,
-                                LiftedPolytope, _checked_s, build_app, certificate)
+from flexbat.projection import (APP_TOL, CERTIFICATE_TOL, S_MAX, AppSolution, FlexUnit,
+                                LiftedPolytope, _checked_s, build_app, check_app)
 
 _ZERO_COEF = 1e-12
 
@@ -487,6 +487,21 @@ def bounds_report(battery: VirtualBattery) -> np.ndarray:
     return np.column_stack([slots, battery.p_low, battery.p_high])
 
 
+def nominal_for_group(group: Sequence[ChargingTask], delta: float = 1.0) -> VirtualBattery:
+    """Group-average battery over the group's span (min arrival..max departure).
+
+    Upper bounds are the column averages of the max-rate charging matrix;
+    lower bounds are zero; the energy interval is the group mean, clipped
+    into what the power bounds can reach.
+    """
+    if not group:
+        raise ValidationError("empty group has no nominal battery")
+    units = [FlexUnit.from_task(t, delta) for t in group]
+    a0 = min(t.a for t in group)
+    d0 = max(t.d for t in group)
+    return _mean_nominal(units, range(a0, d0 + 1), delta)
+
+
 def build_app_reference(lifted: LiftedPolytope, nominal: HPolytope) -> lp.LpProblem:
     """Reference for `build_app`: the APP LP assembled from kron/hstack
     blocks, with the former column bound s <= S_MAX."""
@@ -566,9 +581,11 @@ def build_app_dense(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpPro
     return lp.LpProblem(objective=objective, a_in=a, b_in=b, lower=lower, name="app")
 
 
-def solve_app_reference(lifted: LiftedPolytope, battery: VirtualBattery) -> AppSolution:
+def solve_app_reference(lifted: LiftedPolytope,
+                        battery: VirtualBattery) -> tuple[AppSolution, np.ndarray]:
     """The APP solved as the unsubstituted LP of `build_app_reference`, whose
-    variables carry G whole: the oracle for `solve_app`'s s."""
+    variables carry G whole: the oracle for `solve_app`'s s. Returns the
+    solution and its G, negatives zeroed."""
     sol = lp.solve_lp(build_app_reference(lifted, battery_to_hpolytope(battery, lifted.delta)),
                       tol_feas=APP_TOL, tol_opt=APP_TOL, method=lp.IPM)
     s = _checked_s(sol, "app")
@@ -576,8 +593,8 @@ def solve_app_reference(lifted: LiftedPolytope, battery: VirtualBattery) -> AppS
     x = sol.x
     r0 = 1 + n * (2 * m + 2)
     v0 = r0 + m + mt * m
-    return AppSolution(s=s, r=x[r0:r0 + m], w=x[r0 + m:v0].reshape(mt, m), v=x[v0:],
-                       g=np.maximum(x[1:r0].reshape(n, 2 * m + 2), 0.0))
+    return (AppSolution(s=s, r=x[r0:r0 + m], w=x[r0 + m:v0].reshape(mt, m), v=x[v0:]),
+            np.maximum(x[1:r0].reshape(n, 2 * m + 2), 0.0))
 
 
 def build_opp3(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpProblem:
@@ -596,34 +613,45 @@ def build_opp3(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpProblem:
 def solve_opp3(lifted: LiftedPolytope, battery: VirtualBattery,
                tol: float = APP_TOL) -> AppSolution:
     """Solve the fixed-cross-section approximation as `solve_app` solves
-    the APP LP: an AppSolution with W = 0, whose constant rule is V, G
-    rebuilt from G+, and the same certificate check."""
+    the APP LP: an AppSolution with W = 0, whose constant rule is V, proved
+    by `check_app` and by the dense G rebuilt from G+."""
     problem = build_opp3(lifted, battery)
     sol = lp.solve_lp(problem, tol_feas=tol, tol_opt=tol, method=lp.IPM)
     s = _checked_s(sol, problem.name)
     n, m, mt = lifted.n_rows, lifted.m, lifted.m_tilde
     x = sol.x
     r0 = 1 + n * (m + 2)
-    w = np.zeros((mt, m))
-    app = AppSolution(s=s, r=x[r0:r0 + m].copy(), w=w, v=x[r0 + m:].copy(),
-                      g=certificate(lifted, x[1:r0].reshape(n, m + 2), w))
-    residuals = app.residuals(lifted, battery)
-    if max(residuals.values()) > CERTIFICATE_TOL:
-        raise EmptyOrDegenerate(
-            f"{problem.name}: certificate check failed, residuals {residuals}")
+    app = AppSolution(s=s, r=x[r0:r0 + m].copy(), w=np.zeros((mt, m)), v=x[r0 + m:].copy())
+    slack, row = check_app(lifted, battery, app)
+    residuals = certificate_residuals(certificate(lifted, x[1:r0].reshape(n, m + 2), app.w),
+                                      app, lifted, battery)
+    if not (slack >= -CERTIFICATE_TOL and all(v <= CERTIFICATE_TOL for v in residuals.values())):
+        raise EmptyOrDegenerate(f"{problem.name}: fit check failed, slack {slack:g} "
+                                f"at row {row}, residuals {residuals}")
     return app
 
 
-def residuals_reference(sol: AppSolution, lifted: LiftedPolytope,
-                        nominal: HPolytope) -> dict[str, float]:
-    """Reference for `AppSolution.residuals`: the dense products G F and G H."""
-    f, h = nominal.a, nominal.c
-    eq = sol.g @ f - (lifted.u_block + lifted.tail_block @ sol.w)
-    ineq = (sol.g @ h
+def certificate(lifted: LiftedPolytope, half: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The dense G = (g+, g-, e+, e-) of an APP LP solution, from `build_app`'s
+    G+ = (g+, e+, e-) rows and g- = g+ + delta (e+ - e-) - (B [I; W])_i,
+    negatives zeroed."""
+    g, e = half[:, :lifted.m], half[:, lifted.m:]
+    g_minus = g + lifted.delta * (e[:, :1] - e[:, 1:]) - lifted.u_block - lifted.tail_block @ w
+    return np.maximum(np.hstack([g, g_minus, e]), 0.0)
+
+
+def certificate_residuals(g: np.ndarray, sol: AppSolution, lifted: LiftedPolytope,
+                          battery: VirtualBattery) -> dict[str, float]:
+    """Largest violations of G >= 0, G F = B [I; W] and G H <= B [r; -V] + s c,
+    F x <= H being the battery's facet form: the multiplier proof of the fit
+    that `check_app` replaces, as dense products. A NaN gives NaN values."""
+    nominal = battery_to_hpolytope(battery, lifted.delta)
+    eq = g @ nominal.a - (lifted.u_block + lifted.tail_block @ sol.w)
+    ineq = (g @ nominal.c
             - (lifted.u_block @ sol.r - lifted.tail_block @ sol.v)
             - sol.s * lifted.c)
     return {
-        "g_negativity": float(np.max(-sol.g, initial=0.0)),
+        "g_negativity": float(np.max(-g, initial=0.0)),
         "equality": float(np.abs(eq).max(initial=0.0)),
         "inequality": float(np.max(ineq, initial=0.0)),
     }

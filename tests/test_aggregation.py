@@ -8,11 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _helpers import bounds_report, dispatch_reference, fleet_order_schedule
+from _helpers import (bounds_report, dispatch_reference, fleet_order_schedule,
+                      nominal_for_group)
 from flexbat import aggregation
 from flexbat.aggregation import (AggregateConfig, AggregationTree, AppNode,
                                  CohortNode, Leaf, aggregate, dispatch,
-                                 load_tree, nominal_for_group,
+                                 load_tree,
                                  partition_fleet, save_tree,
                                  synthesize_battery, tree_from_dict,
                                  tree_to_dict)
@@ -521,7 +522,6 @@ def test_dispatch_plan_stays_out_of_saved_files(tmp_path):
     def save_all(outdir):
         outdir.mkdir()
         save_tree(tree, outdir / "tree.json")
-        save_tree(tree, outdir / "tree_cert.json", with_certificates=True)
         save_battery(tree.battery, outdir / "battery.json")
         return {p.name: p.read_bytes() for p in outdir.iterdir()}
 
@@ -601,8 +601,8 @@ _SCHEDULER_FLEETS = (
 
 def test_parallel_workers_identical_results(monkeypatch):
     """Per-chunk solves are independent; the pool width never changes
-    bytes, certificates included, whether a stage has one chunk (which
-    the caller solves alone), two, or more chunks than threads."""
+    bytes, whether a stage has one chunk (which the caller solves alone),
+    two, or more chunks than threads."""
     counts = []                                  # chunks per stage
     real = aggregation._run_chunks
 
@@ -613,10 +613,10 @@ def test_parallel_workers_identical_results(monkeypatch):
     monkeypatch.setattr(aggregation, "_run_chunks", counted)
     for fleet, group_size, fanout in _SCHEDULER_FLEETS:
         config = AggregateConfig(group_size=group_size, fanout=fanout)
-        serial = tree_to_dict(aggregate(fleet, config), with_certificates=True)
+        serial = tree_to_dict(aggregate(fleet, config))
         for workers in (2, 3, 4, 8):
             pooled = aggregate(fleet, dataclasses.replace(config, workers=workers))
-            assert tree_to_dict(pooled, with_certificates=True) == serial, workers
+            assert tree_to_dict(pooled) == serial, workers
     assert {1, 2} <= set(counts) and max(counts) > 3
 
 
@@ -640,10 +640,10 @@ def test_parallel_chunk_failure_is_the_serial_one(monkeypatch):
         for workers in (1, 2, 3, 8):
             with pytest.raises(RuntimeError, match="s1g001"):
                 aggregate(fleet, dataclasses.replace(config, workers=workers))
-    serial = tree_to_dict(aggregate(fleet, config), with_certificates=True)
+    serial = tree_to_dict(aggregate(fleet, config))
     for workers in (2, 3, 8):
         pooled = aggregate(fleet, dataclasses.replace(config, workers=workers))
-        assert tree_to_dict(pooled, with_certificates=True) == serial
+        assert tree_to_dict(pooled) == serial
 
 
 def test_run_chunks_takes_every_index_once():
@@ -668,14 +668,13 @@ def test_run_chunks_takes_every_index_once():
 
 
 def test_tree_equality_compares_values():
-    """A tree equals its reloaded copy, certificates included, and differs
-    from a copy with one number nudged, be it a unit bound, a nominal
-    bound or an entry of the affine rule."""
+    """A tree equals its reloaded copy, and differs from a copy with one
+    number nudged, be it a unit bound, a nominal bound or an entry of the
+    affine rule."""
     fleet = generate_fleet(6, 8, seed=1)
     tree = aggregate(fleet, AggregateConfig(group_size=3, fanout=2))
-    d = tree_to_dict(tree, with_certificates=True)
+    d = tree_to_dict(tree)
     assert tree_from_dict(d) == tree
-    assert tree_from_dict(tree_to_dict(tree)) != tree     # G left out
 
     app = next(node for node in _dicts(d["root"]) if node["kind"] == "app")
     fields = (app["units"][0]["hi"], app["nominal"]["p_high"], app["app"]["r"])
@@ -684,6 +683,14 @@ def test_tree_equality_compares_values():
         assert tree_from_dict(d) != tree
         values[0] = np.nextafter(values[0], -np.inf)
     assert tree_from_dict(d) == tree
+    app["app"]["G"] = [[0.0, 1.0]]       # as files saved with multipliers hold
+    assert tree_from_dict(d) == tree
+
+
+@pytest.mark.parametrize("task_id", [None, 7, float("nan")])
+def test_leaf_task_id_must_be_a_string(task_id):
+    with pytest.raises(TypeError, match="task id must be a string"):
+        Leaf(task_id)
 
 
 def test_tree_version_guard():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import arbitrage_lp
-from flexbat import aggregation, lp
+from flexbat import aggregation
 from flexbat.aggregation import AggregateConfig
 from flexbat.cli import (arbitrage, baseline_immediate, demo_price_curve,
                          load_prices, main, read_profile, run_pipeline,
@@ -19,6 +19,7 @@ from flexbat.fleet import (ChargingTask, Fleet, generate_fleet, load_fleet, save
                            save_schedule)
 from flexbat.geometry import VirtualBattery
 from flexbat.cli import PriceSeries
+from flexbat.oracle import adequacy_lp
 from flexbat.sampling import sample_battery
 
 
@@ -506,12 +507,50 @@ def test_cli_non_finite_csv_cell_exit_4(small_tree_json, tmp_path, capsys, comma
     assert not out.exists()
 
 
+def _tree_nodes(node):
+    yield node
+    for child in node.get("children", ()):
+        yield from _tree_nodes(child)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("W", float("nan")), ("V", float("nan")), ("r", float("nan")), ("s", float("nan")),
+    ("s", 0.0), ("task_id", None), ("task_id", 7)])
+def test_cli_dispatch_tree_bad_app_or_leaf_exit_4(small_tree_json, tmp_path, capsys,
+                                                  field, value):
+    """A NaN in a node's s, r, W or V, an s of 0 (a division by zero in
+    dispatch), or a leaf id that is not a string, is a parse error that
+    names the file; no schedule is written."""
+    data = json.loads((small_tree_json / "tree.json").read_text())
+    if field == "task_id":
+        leaf = next(nd for nd in _tree_nodes(data["root"]) if nd["kind"] == "leaf")
+        leaf["task_id"] = value
+        message = "task id must be a string"
+    else:
+        app = next(nd["app"] for nd in _tree_nodes(data["root"])
+                   if nd["kind"] == "app" and nd["app"]["V"])
+        if field == "s":
+            app["s"] = value
+        else:
+            row = app[field][0] if field == "W" else app[field]
+            row[0] = value
+        message = "s, r, W and V must be finite, and s positive"
+    broken = tmp_path / "tree.json"
+    broken.write_text(json.dumps(data))
+    out = tmp_path / "sched.csv"
+    assert main(["dispatch", "--tree", str(broken), "--profile",
+                 str(small_tree_json / "zero.csv"), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"{broken}: " in err and message in err
+    assert not out.exists()
+
+
 def test_cli_aggregate_dump_lp(tmp_path, monkeypatch):
     """`--dump-lp DIR` writes one `lifted_*.txt` and one `app_*.lp` per APP
     solve: the lifted system row by row, and the LP with Minimize, Subject
     To, Bounds and End, one constraint line per LP row and one bound line
-    per column."""
-    monkeypatch.setattr(lp, "_dump_dir", None)       # restored after the test
+    per column. Dumping stops when the command returns, whether it
+    succeeded or failed: a later LP in the process writes no file."""
     solves = []
     real = aggregation.solve_app
 
@@ -540,6 +579,15 @@ def test_cli_aggregate_dump_lp(tmp_path, monkeypatch):
         subject_to, bounds = text.index("Subject To"), text.index("Bounds")
         assert bounds - subject_to - 1 == n + n * m
         assert len(text) - bounds - 2 == 1 + n * (m + 2) + m + mt * m + mt
+
+    failed = tmp_path / "lp_failed"
+    failed.mkdir()
+    assert main(["aggregate", "--fleet", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "t.json"), "--battery", str(tmp_path / "b.json"),
+                 "--dump-lp", str(failed)]) == 4
+    adequacy_lp(load_fleet(fleet_path), np.zeros(12))      # solves one LP
+    assert len(list(dump.iterdir())) == 2 * len(solves)
+    assert not any(failed.iterdir())
 
 
 def test_cli_demo_subprocess(tmp_path):

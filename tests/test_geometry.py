@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _helpers import (EmptyInner, HPolytope, MixedBases, UnboundedDirection,
                       battery_to_hpolytope, bounding_box, contains_point,
@@ -55,6 +57,44 @@ def test_battery_invariants():
                 ([0.0], [1.0], 0.0, np.inf), ([0.0], [1.0], np.nan, 1.0)):
         with pytest.raises(ValueError, match="finite"):
             VirtualBattery(*bad)                       # non-finite bound or energy
+
+
+@st.composite
+def batteries_and_directions(draw):
+    """A battery at slot length 1, 0.5 or 0.25, with p_low != 0, pinned
+    slots (p_low == p_high, some at zero) and an energy interval that may
+    bind at either end, plus a few directions."""
+    delta = draw(st.sampled_from([1.0, 0.5, 0.25]))
+    m = draw(st.integers(1, 6))
+    lo = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, -1.0, 0.5, 2.0]),
+                                min_size=m, max_size=m)))
+    room = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                  min_size=m, max_size=m)))
+    f_low, f_high = sorted(draw(st.lists(st.sampled_from([0.0, 0.25, 0.6, 1.0]),
+                                         min_size=2, max_size=2)))
+    battery = VirtualBattery(lo, lo + room, delta * (lo.sum() + f_low * room.sum()),
+                             delta * (lo.sum() + f_high * room.sum()))
+    value = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0]),
+                      st.floats(-5.0, 5.0, allow_nan=False))
+    rows = draw(st.integers(1, 4))
+    a = np.array(draw(st.lists(value, min_size=rows * m, max_size=rows * m))).reshape(rows, m)
+    return battery, delta, a
+
+
+@settings(max_examples=150, deadline=None)
+@given(batteries_and_directions())
+@example((VirtualBattery([0.5, -1.0, 0.0], [1.5, 0.0, 0.0], 0.25, 0.5), 0.5,    # e_high binds
+          np.array([[1.0, 2.0, 3.0]])))
+@example((VirtualBattery([0.5, -1.0, 0.0], [1.5, 0.0, 0.0], 0.0, 0.25), 0.25,  # e_low binds
+          np.array([[-1.0, -2.0, 5.0], [0.0, 0.0, 0.0]])))
+def test_battery_support_matches_lp(case):
+    """`support` is the fractional knapsack's exact optimum: each row's
+    value equals max a . u over the battery's facet form, solved by LP."""
+    battery, delta, a = case
+    got = battery.support(a, delta)
+    poly = battery_to_hpolytope(battery, delta)
+    for row, value in zip(a, got):
+        assert value == pytest.approx(support_function(poly, row), abs=1e-9)
 
 
 def test_battery_json_roundtrip():

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from _helpers import (battery_to_hpolytope, build_app_dense, build_app_reference,
                       build_opp3, contains_polytope, homothet_apply,
-                      max_violation, random_small_fleet, reconstruct_reference,
-                      residuals_reference, solve_app_reference, solve_opp3)
+                      certificate, certificate_residuals, max_violation,
+                      random_small_fleet, reconstruct_reference, solve_app_reference,
+                      solve_opp3, support_function)
 from flexbat import lp, projection
 from flexbat.aggregation import (Leaf, _mean_nominal, _most_constrained,
                                  _solve_chunk, _span, _unit_nominal_on_span,
@@ -19,7 +20,7 @@ from flexbat.fleet import ChargingTask, generate_fleet
 from flexbat.geometry import VirtualBattery, homothet_apply_battery
 from flexbat.oracle import adequacy_lp
 from flexbat.projection import (APP_TOL, CERTIFICATE_TOL, S_MAX, AppSolution, FlexUnit,
-                                LiftedPolytope, build_app, eliminate, solve_app)
+                                LiftedPolytope, build_app, check_app, eliminate, solve_app)
 from flexbat.sampling import sample_battery
 
 EX1_LIFTED = LiftedPolytope(
@@ -175,8 +176,7 @@ def test_app_example1_golden():
     recovered = homothet_apply_battery(sol.homothet, EX1_NOMINAL)
     assert recovered.p_low[0] == pytest.approx(0.0, abs=1e-6)
     assert recovered.p_high[0] == pytest.approx(10.0, abs=1e-6)
-    res = sol.residuals(EX1_LIFTED, EX1_NOMINAL)
-    assert max(res.values()) <= 1e-8
+    assert check_app(EX1_LIFTED, EX1_NOMINAL, sol)[0] >= -1e-8
 
 
 def test_app_self_approximation_single_unit():
@@ -218,11 +218,8 @@ def test_app_solution_invariants_random():
             float(np.mean([un.e_low for un in units])),
             float(np.mean([un.e_high for un in units])))
         sol = solve_app(lifted, nominal)
-        res = sol.residuals(lifted, nominal)
         assert sol.s > 0
-        assert res["g_negativity"] <= 1e-12
-        assert res["equality"] <= 1e-7
-        assert res["inequality"] <= 1e-7
+        assert check_app(lifted, nominal, sol)[0] >= -1e-7
 
 
 def test_decision_rule_feasibility():
@@ -302,13 +299,13 @@ def test_constant_rule_never_beats_affine_rule():
 
 
 def test_translation_covariance():
-    """Shifting the nominal by w maps a certificate (s, G, r, W, V) of one
-    problem to (s, G, r + w, W, V - W w) of the other.
+    """Shifting the nominal by w maps a solution (s, r, W, V) of one
+    problem to (s, r + w, W, V - W w) of the other.
 
     The scale is unique, so it must match. r is not: the optimal face can
     hold many translates, and the solver may return any vertex of it. The
-    map is exact algebra (G F w = B [I; W] w), so each solution, carried
-    over, must pass the other problem's certificate residuals.
+    map is exact algebra (h_{B+w}(a) = h_B(a) + a . w), so each solution,
+    carried over, must pass the other problem's fit check.
     """
     rng = np.random.default_rng(6)
     for trial in range(6):
@@ -327,8 +324,8 @@ def test_translation_covariance():
             (replace(moved, r=moved.r - w, v=moved.v + moved.w @ w), nominal),
         ]
         for sol, battery in carried:
-            res = sol.residuals(lifted, battery)
-            assert max(res.values()) <= 1e-9, (trial, res)
+            slack, row = check_app(lifted, battery, sol)
+            assert slack >= -1e-9, (trial, slack, row)
 
 
 def test_app_ipm_failure_resolved_by_simplex(monkeypatch):
@@ -357,21 +354,22 @@ def test_app_ipm_failure_resolved_by_simplex(monkeypatch):
 
 
 def test_app_certificate_checked_after_solve(monkeypatch):
-    """A solver answer to either homothet LP whose certificate does not
-    hold is rejected as EmptyOrDegenerate (so the fallback ladder runs),
-    whatever its status."""
+    """A solver answer to either homothet LP whose homothet does not fit
+    (s shrunk by 1e-3), or that holds a NaN (in V), is rejected as
+    EmptyOrDegenerate (so the fallback ladder runs), whatever its status."""
     real = lp.solve_lp
+    for at, change in ((0, -1e-3), (-1, np.nan)):
 
-    def perturbed(problem, **kwargs):
-        sol = real(problem, **kwargs)
-        x = sol.x.copy()
-        x[1] += 1e-3          # first entry of G
-        return replace(sol, x=x)
+        def perturbed(problem, **kwargs):
+            sol = real(problem, **kwargs)
+            x = sol.x.copy()
+            x[at] += change
+            return replace(sol, x=x)
 
-    monkeypatch.setattr(lp, "solve_lp", perturbed)
-    for solve in (solve_app, solve_opp3):
-        with pytest.raises(EmptyOrDegenerate, match="certificate"):
-            solve(EX1_LIFTED, EX1_NOMINAL)
+        monkeypatch.setattr(lp, "solve_lp", perturbed)
+        for solve in (solve_app, solve_opp3):
+            with pytest.raises(EmptyOrDegenerate, match="fit check failed"):
+                solve(EX1_LIFTED, EX1_NOMINAL)
 
 
 # ------------------------------------------------------------ LP assembly
@@ -478,7 +476,7 @@ def test_app_s_matches_unsubstituted_lp(system):
     """Substituting g- out changes no optimum: the LP with G whole
     (`build_app_reference`) reaches the same s to 1e-9 relative at slot
     lengths 1, 0.5 and 0.25, and where it is solvable `solve_app`'s
-    rebuilt certificate passes the residual check."""
+    solution passes the fit check."""
     lifted, battery = system
     new = lp.solve_lp(build_app(lifted, battery), tol_feas=APP_TOL, tol_opt=APP_TOL,
                       method=lp.IPM)
@@ -490,57 +488,72 @@ def test_app_s_matches_unsubstituted_lp(system):
     assert new.objective_value == pytest.approx(old.objective_value, rel=1e-9, abs=1e-12)
     if new.objective_value > projection.S_MIN:
         sol = solve_app(lifted, battery)
-        assert max(sol.residuals(lifted, battery).values()) <= 1e-6
+        assert check_app(lifted, battery, sol)[0] >= -1e-6
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(lifted_systems(), st.integers(0, 2**32 - 1))
-def test_residuals_match_dense_form(system, seed):
-    """`residuals` reads G F off G's column slices; at every slot length it
-    equals the dense product with the battery's facet matrix."""
+def test_check_app_matches_rowwise_lp(system, seed):
+    """`check_app`'s worst slack and row are those of B11 r - B12 V + s c
+    minus max a_i . u over the battery's facet form, solved by LP for each
+    row a_i of B11 + B12 W, for any (s, r, W, V) at every slot length."""
     lifted, battery = system
     rng = np.random.default_rng(seed)
-    n, m, mt = lifted.n_rows, lifted.m, lifted.m_tilde
+    m, mt = lifted.m, lifted.m_tilde
     sol = AppSolution(s=float(rng.uniform(0.1, 2.0)), r=rng.normal(size=m),
-                      w=rng.normal(size=(mt, m)), v=rng.normal(size=mt),
-                      g=rng.normal(size=(n, 2 * m + 2)))
-    dense = residuals_reference(sol, lifted, battery_to_hpolytope(battery, lifted.delta))
-    assert sol.residuals(lifted, battery) == pytest.approx(dense, abs=1e-12)
+                      w=rng.normal(size=(mt, m)), v=rng.normal(size=mt))
+    poly = battery_to_hpolytope(battery, lifted.delta)
+    b11, b12 = lifted.u_block, lifted.tail_block
+    slack = (b11 @ sol.r - b12 @ sol.v + sol.s * lifted.c
+             - [support_function(poly, a) for a in b11 + b12 @ sol.w])
+    worst, row = check_app(lifted, battery, sol)
+    assert worst == pytest.approx(slack.min(), abs=1e-9)
+    assert slack[row] == pytest.approx(worst, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", [3, 11])
-def test_solve_app_matches_reference_lp(seed):
+def test_solve_app_matches_reference_lp(seed, monkeypatch):
     """On fleet groups the substituted LP gives the s of the LP with G whole
-    and no bound on s, both certificates hold, and the residuals computed
-    from G's column slices equal the dense G F form."""
+    and no bound on s, and both solutions pass both proofs of the fit:
+    `check_app` and the dense G of the LP's own multipliers."""
     fleet = generate_fleet(20, 12, seed)
+    xs = []
+    real = lp.solve_lp
+
+    def kept(problem, **kwargs):
+        sol = real(problem, **kwargs)
+        xs.append(sol.x)
+        return sol
+
+    monkeypatch.setattr(lp, "solve_lp", kept)
     solved = []
     for group in partition_fleet(fleet, 5)[:2]:
         units = [FlexUnit.from_task(t) for t in group]
         coords = _span(units)
         lifted = eliminate(units, coords=coords)
         nominal = _mean_nominal(units, coords, fleet.delta)
-        poly = battery_to_hpolytope(nominal, lifted.delta, coords=coords)
+        n, m = lifted.n_rows, lifted.m
         new = solve_app(lifted, nominal)
-        ref = solve_app_reference(lifted, nominal)
+        new_g = certificate(lifted, xs[-1][1:1 + n * (m + 2)].reshape(n, m + 2), new.w)
+        ref, ref_g = solve_app_reference(lifted, nominal)
         assert new.s == pytest.approx(ref.s, rel=1e-9)
-        for sol in (new, ref):
-            res = sol.residuals(lifted, nominal)
+        for sol, g in ((new, new_g), (ref, ref_g)):
+            assert check_app(lifted, nominal, sol)[0] >= -CERTIFICATE_TOL
+            res = certificate_residuals(g, sol, lifted, nominal)
             assert max(res.values()) <= CERTIFICATE_TOL
-            assert res == pytest.approx(residuals_reference(sol, lifted, poly), abs=1e-12)
         solved.append(lifted.m_tilde)
     assert min(solved) > 0
 
 
 def test_solved_app_owns_its_arrays():
-    """r, W, V and G are arrays of their own, not views into the LP's
+    """r, W and V are arrays of their own, not views into the LP's
     solution vector, which a tree node would otherwise keep alive whole."""
     fleet = generate_fleet(20, 12, 3)
     units = [FlexUnit.from_task(t) for t in partition_fleet(fleet, 5)[0]]
     coords = _span(units)
     lifted = eliminate(units, coords=coords)
     sol = solve_app(lifted, _mean_nominal(units, coords, fleet.delta))
-    arrays = [sol.r, sol.w, sol.v, sol.g]
+    arrays = [sol.r, sol.w, sol.v]
     assert lifted.m_tilde > 0
     for a in arrays:
         assert a.base is None and a.flags.owndata

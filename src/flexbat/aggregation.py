@@ -618,11 +618,13 @@ def _node_from_dict(d: dict, delta: float) -> TreeNode:
                      hi=np.asarray(u["hi"], float), e_low=float(u["e_low_kwh"]),
                      e_high=float(u["e_high_kwh"]), origin=u["origin"], delta=delta)
             for u in d["units"])
+        app, elim = AppSolution.from_dict(d["app"]), EliminationMap.from_dict(d["elim"])
+        if (len(children), elim.unit_active, elim.coords, app.r.size, app.v.size) != (
+                len(units), tuple(u.active for u in units), coords, len(coords), elim.m_tilde):
+            raise ValueError(f"app node {d['label']}: fields disagree in count or slots")
         return AppNode(
             label=d["label"], children=children, units=units, coords=coords,
-            nominal=VirtualBattery.from_dict(d["nominal"]),
-            app=AppSolution.from_dict(d["app"]),
-            elim=EliminationMap.from_dict(d["elim"]))
+            nominal=VirtualBattery.from_dict(d["nominal"]), app=app, elim=elim)
     if kind == "cohort":
         return CohortNode(label=d["label"], children=children, coords=coords,
                           base=VirtualBattery.from_dict(d["base"]))

@@ -206,12 +206,12 @@ def read_json(path: str, build: Callable[[dict], T]) -> T:
 
 
 def write_slots(path: str, columns: dict[str, np.ndarray]) -> None:
-    """Slot CSV: header `slot,<column names>`, one row per 1-based slot."""
+    """Slot CSV: header `slot,<column names>`, one row per 1-based slot, exact cells."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", *columns])
         for t, row in enumerate(zip(*columns.values()), start=1):
-            writer.writerow([t, *(f"{v:.6f}" for v in row)])
+            writer.writerow([t, *(repr(float(v)) for v in row)])
 
 
 def read_slots(path: str, m: Optional[int] = None,
@@ -245,14 +245,14 @@ def load_fleet(path: str) -> Fleet:
 
 
 def save_schedule(task_ids: Sequence[str], schedule: np.ndarray, path: str) -> None:
-    """Write an N x m kW matrix as CSV with header task_id,t1..tm."""
+    """N x m kW matrix as CSV, header task_id,t1..tm, at round-trip precision."""
     schedule = np.atleast_2d(np.asarray(schedule, dtype=float))
     m = schedule.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task_id"] + [f"t{t}" for t in range(1, m + 1)])
         for tid, row in zip(task_ids, schedule):
-            writer.writerow([tid] + [f"{v:.6f}" for v in row])
+            writer.writerow([tid] + [repr(float(v)) for v in row])
 
 
 def load_schedule(path: str) -> tuple[list[str], np.ndarray]:

@@ -6,9 +6,10 @@ total-energy budget over its active slots) induces a lifted polytope over
 coordinates. The aggregate flexibility is the projection of that polytope
 onto u. `solve_app` finds the largest scaled-and-translated copy of a
 nominal battery that fits inside the projection, together with the affine
-rule u_tilde = W u + V that reconstructs per-unit profiles. The LP proves
-the fit with multipliers G; `check_app` proves it again from (s, r, W, V)
-alone, in closed form, after every solve.
+rule u_tilde = W u + V that reconstructs per-unit profiles. Its LP, solved
+on the orbits of interchangeable slots (`app_orbits`), proves the fit with
+multipliers G; `check_app` proves it again from (s, r, W, V) alone, on every
+lifted row and in closed form, after every solve.
 """
 
 from __future__ import annotations
@@ -127,10 +128,6 @@ class EliminationMap:
     @property
     def m_tilde(self) -> int:
         return len(self.utilde)
-
-    @property
-    def n_units(self) -> int:
-        return len(self.unit_active)
 
     @cached_property
     def coord_index(self) -> dict[int, int]:
@@ -406,6 +403,84 @@ def build_app(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpProblem:
                         lower=lower, name="app")
 
 
+def slot_classes(lifted: LiftedPolytope, battery: VirtualBattery) -> np.ndarray:
+    """Class of each slot, numbered by first occurrence: the same active units,
+    c on the slot's eliminated and retained (in unit order) rate rows and
+    nominal bounds, so that swapping two slots of one class maps `build_app`'s
+    LP onto itself. Without an elimination map each slot is its own class."""
+    elim, c, m = lifted.elim, lifted.c, lifted.m
+    if elim is None:
+        return np.arange(m)
+    keys: dict[tuple, int] = {}
+    rate = [tuple(c[2 * m + 2 * q:2 * m + 2 * q + 2]) for q in range(lifted.m_tilde)]
+    return np.array([keys.setdefault(
+        (elim.n_t[k], tuple(c[2 * k:2 * k + 2]),
+         tuple(rate[elim.utilde_index[(i, t)]] for i in elim.n_t[k][1:]),
+         battery.p_low[k], battery.p_high[k]), len(keys))
+        for k, t in enumerate(elim.coords)], dtype=np.intp)
+
+
+def app_orbits(lifted: LiftedPolytope,
+               battery: VirtualBattery) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of `build_app`'s rows and columns under swaps of slots of one
+    class: the mask of rows kept (the first of each orbit), the folded column
+    of each column (-1 for a dropped row's certificate), and the first column
+    of each folded column. An LP invariant under a permutation group has an
+    optimum the group fixes (Boedi, Herr & Joswig, Math. Prog. 2013), so one
+    variable per column orbit and one row per row orbit keep s. A rate row
+    fixes its slot, whose class its stabiliser splits in two; a W entry's
+    orbit is (unit, class, class, on the diagonal or not)."""
+    n, m, mt, k = lifted.n_rows, lifted.m, lifted.m_tilde, lifted.m + 2
+    cls = slot_classes(lifted, battery)
+    slots, mate = np.arange(m), cls[:, None] == cls
+    first = mate.argmax(1)                                 # first slot of the class
+    second = (mate & (slots > first[:, None])).argmax(1)   # its next (0 if alone)
+    fixed, q_slot, q_first = np.full(n, -1), np.full(mt, -1), np.arange(mt)
+    if lifted.elim is not None:
+        unit, t = np.array(lifted.elim.utilde, dtype=np.intp).reshape(mt, 2).T
+        q_slot = np.searchsorted(lifted.elim.coords, t)
+        pos = np.zeros((len(lifted.elim.unit_active), m), dtype=np.intp)
+        pos[unit, q_slot] = q_first
+        q_first = pos[unit, first[q_slot]]
+        fixed[:2 * (m + mt)] = np.repeat(np.concatenate([slots, q_slot]), 2)
+
+    def orbit_first(fix: np.ndarray) -> np.ndarray:
+        """First slot of each slot's orbit under the swaps that fix `fix`."""
+        mates = (cls == np.where(fix < 0, -1, cls[fix])[:, None]) & (slots != fix[:, None])
+        return np.where(mates, second, first)
+
+    kept = (fixed < 0) | (first[fixed] == fixed)
+    g_first = orbit_first(fixed)
+    rep = np.concatenate([
+        [0], (1 + np.arange(n)[:, None] * k
+              + np.column_stack([g_first, np.full((n, 2), [m, m + 1])])).ravel(),
+        1 + n * k + first, (1 + n * k + m + q_first[:, None] * m + orbit_first(q_slot)).ravel(),
+        1 + n * k + m + mt * m + q_first])
+    alive = np.ones(rep.size, dtype=bool)
+    alive[1:1 + n * k] = np.repeat(kept, k)
+    reps = np.flatnonzero(alive & (rep == np.arange(rep.size)))
+    cols = np.where(alive, np.searchsorted(reps, rep), -1)
+    rows = np.concatenate([kept, (kept[:, None] & (g_first == slots)).ravel()])
+    return rows, cols, reps
+
+
+def fold_app(problem: lp.LpProblem, rows: np.ndarray, cols: np.ndarray,
+             reps: np.ndarray) -> lp.LpProblem:
+    """`build_app`'s LP over the orbits of `app_orbits`: the kept rows, the
+    columns mapped, duplicate entries summed and exact zeros dropped."""
+    a = problem.a_in
+    per_row = np.diff(a.indptr)
+    held = np.repeat(rows, per_row)
+    key, at = np.unique(np.repeat(np.cumsum(rows) - 1, per_row)[held] * reps.size
+                        + cols[a.indices[held]], return_inverse=True)
+    data = np.bincount(at, weights=a.data[held])
+    row, col = np.divmod(key[data != 0], reps.size)
+    a_in = lp.SparseRows((int(rows.sum()), reps.size), lp.row_starts(
+        np.bincount(row, minlength=rows.sum())), col.astype(np.int32), data[data != 0])
+    return lp.LpProblem(objective=problem.objective[reps], a_in=a_in, b_in=problem.b_in[rows],
+                        lower=problem.lower[reps], upper=problem.upper[reps], name=problem.name)
+
+
 @dataclass(frozen=True)
 class AppSolution:
     """Solved affine-rule approximation: homothet plus reconstruction rule."""
@@ -505,16 +580,17 @@ def solve_app(lifted: LiftedPolytope, battery: VirtualBattery,
     caller's fallback ladder takes over.
     """
     lp.dump_text("lifted", "txt", lambda: _format_lifted(lifted))
-    problem = build_app(lifted, battery)
+    rows, cols, reps = app_orbits(lifted, battery)
+    problem = fold_app(build_app(lifted, battery), rows, cols, reps)
     sol = lp.solve_lp(problem, tol_feas=tol, tol_opt=tol, method=lp.IPM)
     s = _checked_s(sol, problem.name)
     n, m, mt = lifted.n_rows, lifted.m, lifted.m_tilde
     x = sol.x
     r0 = 1 + n * (m + 2)
     v0 = r0 + m + mt * m
-    # copies: a view would pin all of x
-    app = AppSolution(s=s, r=x[r0:r0 + m].copy(), w=x[r0 + m:v0].reshape(mt, m).copy(),
-                      v=x[v0:].copy())
+    # gathers by index array own their data: a view would pin all of x
+    app = AppSolution(s=s, r=x[cols[r0:r0 + m]], w=x[cols[r0 + m:v0].reshape(mt, m)],
+                      v=x[cols[v0:]])
     slack, row = check_app(lifted, battery, app)
     if not slack >= -CERTIFICATE_TOL:
         raise EmptyOrDegenerate(f"{problem.name}: fit check failed, slack {slack:g} at row {row}")

@@ -487,6 +487,11 @@ def bounds_report(battery: VirtualBattery) -> np.ndarray:
     return np.column_stack([slots, battery.p_low, battery.p_high])
 
 
+def n_units(elim) -> int:
+    """Number of units an `EliminationMap` was built over."""
+    return len(elim.unit_active)
+
+
 def nominal_for_group(group: Sequence[ChargingTask], delta: float = 1.0) -> VirtualBattery:
     """Group-average battery over the group's span (min arrival..max departure).
 
@@ -595,6 +600,23 @@ def solve_app_reference(lifted: LiftedPolytope,
     v0 = r0 + m + mt * m
     return (AppSolution(s=s, r=x[r0:r0 + m], w=x[r0 + m:v0].reshape(mt, m), v=x[v0:]),
             np.maximum(x[1:r0].reshape(n, 2 * m + 2), 0.0))
+
+
+def solve_app_unfolded(lifted: LiftedPolytope, battery: VirtualBattery) -> AppSolution:
+    """`solve_app` on `build_app`'s LP as built, one variable per column and
+    every row: the oracle for the orbit-folded solve's s and its failures."""
+    problem = build_app(lifted, battery)
+    sol = lp.solve_lp(problem, tol_feas=APP_TOL, tol_opt=APP_TOL, method=lp.IPM)
+    s = _checked_s(sol, problem.name)
+    n, m, mt = lifted.n_rows, lifted.m, lifted.m_tilde
+    x = sol.x
+    r0 = 1 + n * (m + 2)
+    v0 = r0 + m + mt * m
+    app = AppSolution(s=s, r=x[r0:r0 + m], w=x[r0 + m:v0].reshape(mt, m), v=x[v0:])
+    slack, row = check_app(lifted, battery, app)
+    if not slack >= -CERTIFICATE_TOL:
+        raise EmptyOrDegenerate(f"{problem.name}: fit check failed, slack {slack:g} at row {row}")
+    return app
 
 
 def build_opp3(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpProblem:

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (bounds_report, dispatch_reference, fleet_order_schedule,
-                      nominal_for_group)
+                      n_units, nominal_for_group)
 from flexbat import aggregation
 from flexbat.aggregation import (AggregateConfig, AggregationTree, AppNode,
                                  CohortNode, Leaf, aggregate, dispatch,
@@ -172,10 +172,10 @@ def test_aggregate_raises_when_a_stage_cannot_merge(monkeypatch):
     calls = []
 
     def solo_only(lifted, nominal):
-        calls.append(lifted.elim.n_units)
+        calls.append(n_units(lifted.elim))
         if len(calls) > 200:
             raise RuntimeError("aggregate keeps solving without progress")
-        if lifted.elim.n_units > 1:
+        if n_units(lifted.elim) > 1:
             raise EmptyOrDegenerate("forced failure")
         return solve_app(lifted, nominal)
 
@@ -358,7 +358,7 @@ def test_dispatch_matches_reference_walk(fleet_and_g, fanout, seed):
     def first_group_fails(lifted, nominal):
         # the first two multi-unit solves are group s1g000's shared nominal
         # and its fallback nominal, so that group splits into singletons
-        if lifted.elim.n_units > 1 and len(failed) < 2:
+        if n_units(lifted.elim) > 1 and len(failed) < 2:
             failed.append(nominal)
             raise EmptyOrDegenerate("forced")
         return solve_app(lifted, nominal)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import arbitrage_lp
-from flexbat import aggregation
+from flexbat import aggregation, projection
 from flexbat.aggregation import AggregateConfig
 from flexbat.cli import (arbitrage, baseline_immediate, demo_price_curve,
                          load_prices, main, read_profile, run_pipeline,
@@ -282,11 +282,9 @@ def test_cli_end_to_end(tmp_path):
                  str(prices_path), "--out-profile", str(profile_path)]) == 0
     assert main(["dispatch", "--tree", str(tree_path), "--profile",
                  str(profile_path), "--out", str(sched_path)]) == 0
-    # CSV cells are quantized at 1e-6, so column sums over N rows need
-    # a tolerance of about N * 5e-7; 1e-4 is comfortable for 8 tasks
+    # CSV cells round-trip, so verify holds at its default tolerance
     assert main(["verify", "--fleet", str(fleet_path), "--schedule",
-                 str(sched_path), "--profile", str(profile_path),
-                 "--tol", "1e-4"]) == 0
+                 str(sched_path), "--profile", str(profile_path)]) == 0
     assert main(["oracle", "--fleet", str(fleet_path), "--profile",
                  str(profile_path), "--method", "lp"]) == 0
 
@@ -545,17 +543,61 @@ def test_cli_dispatch_tree_bad_app_or_leaf_exit_4(small_tree_json, tmp_path, cap
     assert not out.exists()
 
 
+def _drop_child(node):
+    node["children"].pop()
+
+
+def _shrink_unit_active(node):
+    node["elim"]["unit_active"][0].pop()
+
+
+def _move_elim_coord(node):
+    node["elim"]["coords"][-1] += 100
+
+
+def _drop_r(node):
+    node["app"]["r"].pop()
+    for row in node["app"]["W"]:
+        row.pop()
+
+
+def _drop_v(node):
+    node["app"]["V"].pop()
+    node["app"]["W"].pop()
+
+
+@pytest.mark.parametrize("mutate", [_drop_child, _shrink_unit_active, _move_elim_coord,
+                                    _drop_r, _drop_v])
+def test_cli_dispatch_tree_fields_disagree_exit_4(small_tree_json, tmp_path, capsys, mutate):
+    """An app node whose fields disagree is a parse error naming the file,
+    and no schedule is written: a child count that is not the unit count,
+    an elimination map over other unit slots or other coords than the
+    node's, or an r or V (W cut to match) of the wrong length."""
+    data = json.loads((small_tree_json / "tree.json").read_text())
+    mutate(next(nd for nd in _tree_nodes(data["root"])
+                if nd["kind"] == "app" and nd["app"]["V"] and len(nd["children"]) > 1))
+    broken = tmp_path / "tree.json"
+    broken.write_text(json.dumps(data))
+    out = tmp_path / "sched.csv"
+    assert main(["dispatch", "--tree", str(broken), "--profile",
+                 str(small_tree_json / "zero.csv"), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"{broken}: " in err and "disagree in count or slots" in err
+    assert not out.exists()
+
+
 def test_cli_aggregate_dump_lp(tmp_path, monkeypatch):
     """`--dump-lp DIR` writes one `lifted_*.txt` and one `app_*.lp` per APP
-    solve: the lifted system row by row, and the LP with Minimize, Subject
-    To, Bounds and End, one constraint line per LP row and one bound line
-    per column. Dumping stops when the command returns, whether it
-    succeeded or failed: a later LP in the process writes no file."""
+    solve: the lifted system row by row, and the LP solved, folded on the
+    orbits of interchangeable slots, with Minimize, Subject To, Bounds and
+    End, one constraint line per folded row and one bound line per folded
+    column. Dumping stops when the command returns, whether it succeeded or
+    failed: a later LP in the process writes no file."""
     solves = []
     real = aggregation.solve_app
 
     def counted(lifted, battery):
-        solves.append(lifted)
+        solves.append((lifted, battery))
         return real(lifted, battery)
 
     monkeypatch.setattr(aggregation, "solve_app", counted)
@@ -570,15 +612,19 @@ def test_cli_aggregate_dump_lp(tmp_path, monkeypatch):
     lp_files = sorted(dump.glob("app_*.lp"))
     assert len(lifted_files) == len(lp_files) == len(solves) > 1
     assert len(list(dump.iterdir())) == 2 * len(solves)
-    for lifted, lifted_path, lp_path in zip(solves, lifted_files, lp_files):
+    folded = []
+    for (lifted, battery), lifted_path, lp_path in zip(solves, lifted_files, lp_files):
         n, m, mt = lifted.n_rows, lifted.m, lifted.m_tilde
         header, *rows = lifted_path.read_text().splitlines()
         assert header == f"m={m} m_tilde={mt} delta={lifted.delta}" and len(rows) == n
         text = lp_path.read_text().splitlines()
         assert text[1] == "Minimize" and text[-1] == "End"
         subject_to, bounds = text.index("Subject To"), text.index("Bounds")
-        assert bounds - subject_to - 1 == n + n * m
-        assert len(text) - bounds - 2 == 1 + n * (m + 2) + m + mt * m + mt
+        kept, _, reps = projection.app_orbits(lifted, battery)
+        assert bounds - subject_to - 1 == kept.sum() <= n + n * m
+        assert len(text) - bounds - 2 == reps.size <= 1 + n * (m + 2) + m + mt * m + mt
+        folded.append(kept.sum() < n + n * m)
+    assert any(folded)
 
     failed = tmp_path / "lp_failed"
     failed.mkdir()

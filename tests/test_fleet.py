@@ -9,7 +9,8 @@ from flexbat import lp
 from flexbat.cli import main
 from flexbat.errors import BadProfile, ParseError, ValidationError
 from flexbat.fleet import (ChargingTask, Fleet, GenProfile, generate_fleet,
-                           load_fleet, load_schedule, save_fleet, save_schedule)
+                           load_fleet, load_schedule, read_slots, save_fleet,
+                           save_schedule, write_slots)
 
 
 def test_admissible_polytope_two_slot_fixed_energy():
@@ -164,3 +165,19 @@ def test_schedule_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(back, sched, atol=1e-6)
     header = path.read_text().splitlines()[0]
     assert header == "task_id,t1,t2,t3"
+
+
+def test_csv_cells_round_trip_bit_equal(tmp_path):
+    """Slot and schedule CSVs hold every float exactly: reading back what
+    `write_slots` and `save_schedule` wrote gives the same bits, for values
+    that six decimals would round (a profile 2e-6 kWh below a battery's
+    e_low is not inside it)."""
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.normal(size=20) * 10.0 ** rng.integers(-9, 6, size=20),
+                        [1 / 3, -2.5e-7, 1e-300, -0.0, 0.0, 123456.7890123]])
+    path = tmp_path / "u.csv"
+    write_slots(path, {"u_kw": x, "price": x[::-1]})
+    assert read_slots(path, m=x.size, column="u_kw").tobytes() == x.tobytes()
+    save_schedule(["a", "b"], np.vstack([x, x[::-1]]), tmp_path / "s.csv")
+    ids, back = load_schedule(tmp_path / "s.csv")
+    assert ids == ["a", "b"] and back.tobytes() == np.vstack([x, x[::-1]]).tobytes()

@@ -10,7 +10,7 @@ from _helpers import (battery_to_hpolytope, build_app_dense, build_app_reference
                       build_opp3, contains_polytope, homothet_apply,
                       certificate, certificate_residuals, max_violation,
                       random_small_fleet, reconstruct_reference, solve_app_reference,
-                      solve_opp3, support_function)
+                      solve_app_unfolded, solve_opp3, support_function)
 from flexbat import lp, projection
 from flexbat.aggregation import (Leaf, _mean_nominal, _most_constrained,
                                  _solve_chunk, _span, _unit_nominal_on_span,
@@ -491,6 +491,62 @@ def test_app_s_matches_unsubstituted_lp(system):
         assert check_app(lifted, battery, sol)[0] >= -1e-6
 
 
+@st.composite
+def common_window_systems(draw):
+    """Units sharing one window (one of them maybe a shorter one inside it),
+    rates and energies from small sets, pinned slots beyond the window, and
+    either the units' mean nominal or a battery whose bounds repeat: systems
+    whose slots fall into classes of several slots each."""
+    delta = draw(st.sampled_from([1.0, 0.5]))
+    span = draw(st.integers(2, 5))
+    units = []
+    for i in range(draw(st.integers(2, 5))):
+        a, d = (2, span) if i == 0 and span > 2 and draw(st.booleans()) else (1, span)
+        p = draw(st.sampled_from([1.0, 2.0]))
+        width = d - a + 1
+        e_low = draw(st.sampled_from([0.0, 0.25])) * p * width
+        e_high = draw(st.sampled_from([1.0, 0.5])) * p * width
+        units.append(FlexUnit.from_task(
+            ChargingTask(f"u{i}", a=a, d=d, p=p, e_low=delta * e_low,
+                         e_high=delta * max(e_low, e_high)), delta=delta))
+    coords = tuple(range(1, span + draw(st.integers(0, 2)) + 1))
+    lifted = eliminate(units, coords=coords)
+    if draw(st.booleans()):
+        return lifted, _mean_nominal(units, coords, delta)
+    p_low = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.5]),
+                                   min_size=lifted.m, max_size=lifted.m)))
+    return lifted, VirtualBattery(p_low, p_low + 1.0, delta * p_low.sum(),
+                                  delta * (p_low.sum() + lifted.m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(lifted_systems(), common_window_systems()))
+def test_app_fold_keeps_s(system):
+    """Solving on the orbits of interchangeable slots changes no optimum:
+    `solve_app` gives the s of `build_app`'s LP solved as built to 1e-9
+    relative, both raise EmptyOrDegenerate together, and the folded
+    solution passes `check_app` on every lifted row. A system with no two
+    slots of one class folds to `build_app`'s exact bytes."""
+    lifted, battery = system
+    full = build_app(lifted, battery)
+    folded = projection.fold_app(full, *projection.app_orbits(lifted, battery))
+    if np.unique(projection.slot_classes(lifted, battery)).size == lifted.m:
+        assert _csr_bytes(folded.a_in) == _csr_bytes(full.a_in)
+        for name in ("b_in", "objective", "lower", "upper"):
+            assert getattr(folded, name).tobytes() == getattr(full, name).tobytes(), name
+    else:
+        assert folded.a_in.shape[0] < full.a_in.shape[0]
+    try:
+        ref = solve_app_unfolded(lifted, battery)
+    except EmptyOrDegenerate:
+        with pytest.raises(EmptyOrDegenerate):
+            solve_app(lifted, battery)
+        return
+    sol = solve_app(lifted, battery)
+    assert sol.s == pytest.approx(ref.s, rel=1e-9)
+    assert check_app(lifted, battery, sol)[0] >= -1e-9
+
+
 @settings(max_examples=40, deadline=None)
 @given(lifted_systems(), st.integers(0, 2**32 - 1))
 def test_check_app_matches_rowwise_lp(system, seed):
@@ -511,11 +567,41 @@ def test_check_app_matches_rowwise_lp(system, seed):
     assert slack[row] == pytest.approx(worst, abs=1e-9)
 
 
+def _unfolded_half(lifted: LiftedPolytope, battery: VirtualBattery,
+                   x: np.ndarray) -> np.ndarray:
+    """Every lifted row's (g+, e+, e-) from the folded LP's x. A rate row's
+    representative is the row of the same kind at the first slot of its
+    fixed slot's class; the transposition of those two slots maps one row
+    onto the other, so g+ of the row is its representative's g+ with the two
+    slots swapped."""
+    elim, n, m = lifted.elim, lifted.n_rows, lifted.m
+    rows, cols, _ = projection.app_orbits(lifted, battery)
+    classes = projection.slot_classes(lifted, battery)
+    first = [int(np.flatnonzero(classes == c)[0]) for c in classes]
+    half = np.empty((n, m + 2))
+    for i in range(n):
+        rep, swap = i, np.arange(m + 2)
+        if i < 2 * m:
+            k = i // 2
+            rep = 2 * first[k] + i % 2
+        elif i < 2 * (m + lifted.m_tilde):
+            unit, t = elim.utilde[(i - 2 * m) // 2]
+            k = elim.coord_index[t]
+            rep = 2 * m + 2 * elim.utilde_index[(unit, elim.coords[first[k]])] + i % 2
+        if rep != i:
+            swap[[k, first[k]]] = swap[[first[k], k]]
+        assert rows[rep] and cols[1 + rep * (m + 2)] >= 0
+        half[i] = x[cols[1 + rep * (m + 2) + swap]]
+    return half
+
+
 @pytest.mark.parametrize("seed", [3, 11])
 def test_solve_app_matches_reference_lp(seed, monkeypatch):
-    """On fleet groups the substituted LP gives the s of the LP with G whole
-    and no bound on s, and both solutions pass both proofs of the fit:
-    `check_app` and the dense G of the LP's own multipliers."""
+    """On fleet groups the folded LP gives the s of the LP with G whole and
+    no bound on s, and both solutions pass both proofs of the fit:
+    `check_app` and the dense G of the LP's own multipliers, each folded-away
+    row's G rebuilt from its representative's. The groups have slots that
+    fold."""
     fleet = generate_fleet(20, 12, seed)
     xs = []
     real = lp.solve_lp
@@ -532,17 +618,17 @@ def test_solve_app_matches_reference_lp(seed, monkeypatch):
         coords = _span(units)
         lifted = eliminate(units, coords=coords)
         nominal = _mean_nominal(units, coords, fleet.delta)
-        n, m = lifted.n_rows, lifted.m
         new = solve_app(lifted, nominal)
-        new_g = certificate(lifted, xs[-1][1:1 + n * (m + 2)].reshape(n, m + 2), new.w)
+        new_g = certificate(lifted, _unfolded_half(lifted, nominal, xs[-1]), new.w)
         ref, ref_g = solve_app_reference(lifted, nominal)
         assert new.s == pytest.approx(ref.s, rel=1e-9)
         for sol, g in ((new, new_g), (ref, ref_g)):
             assert check_app(lifted, nominal, sol)[0] >= -CERTIFICATE_TOL
             res = certificate_residuals(g, sol, lifted, nominal)
             assert max(res.values()) <= CERTIFICATE_TOL
-        solved.append(lifted.m_tilde)
-    assert min(solved) > 0
+        solved.append((lifted.m_tilde, np.unique(projection.slot_classes(lifted, nominal)).size
+                       < lifted.m))
+    assert all(mt > 0 and folds for mt, folds in solved)
 
 
 def test_solved_app_owns_its_arrays():

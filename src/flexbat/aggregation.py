@@ -6,9 +6,10 @@ groups with equal span, i.e. minimum arrival and maximum departure).
 Homothets of one shared nominal add coordinate-wise (scaled Minkowski sum),
 so cohorts collapse without further LPs. Later stages treat each battery
 as a unit and repeat with `fanout` children per node until a single root
-remains. The tree records every decision rule and elimination map, which
-is exactly what dispatch needs to turn any battery-feasible aggregate
-profile into admissible per-task schedules.
+remains. The tree records every decision rule, which together with each
+node's elimination map (derived from its units and coords) is exactly what
+dispatch needs to turn any battery-feasible aggregate profile into
+admissible per-task schedules.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .errors import (DispatchInfeasible, EmptyOrDegenerate, NotInBattery,
 from .fleet import ChargingTask, Fleet, read_json, write_json
 from .geometry import Homothet, VirtualBattery, homothet_apply_battery
 from .projection import (AppSolution, EliminationMap, FlexUnit, eliminate,
-                         solve_app)
+                         elimination_map, solve_app)
 
-TREE_FORMAT_VERSION = 1
+TREE_FORMAT_VERSION = 2   # format 1 also stored what is now derived; it is still read
 T = TypeVar("T")
 
 
@@ -53,7 +54,11 @@ class AppNode:
     coords: tuple[int, ...]
     nominal: VirtualBattery
     app: AppSolution
-    elim: EliminationMap
+
+    @cached_property
+    def elim(self) -> EliminationMap:
+        """Derived from the units and coords on first use, never saved."""
+        return elimination_map(self.units, self.coords)
 
     @property
     def lam(self) -> float:
@@ -125,11 +130,15 @@ class AggregationTree:
     root: TreeNode
     m: int
     delta: float
-    battery: VirtualBattery           # root battery over the full horizon
     n_stages: int
     stage1_groups: int
     stage1_cohorts: int
     config: dict
+
+    @cached_property
+    def battery(self) -> VirtualBattery:
+        """Root battery over the full horizon; derived on first use, never saved."""
+        return synthesize_battery(self.root, self.m)
 
     @cached_property
     def _dispatch_plan(self) -> "_DispatchPlan":
@@ -211,7 +220,7 @@ def _solve_chunk(label: str, units: list[FlexUnit], children: list[TreeNode],
     def attempt(batt: VirtualBattery) -> AppNode:
         app = solve_app(lifted, batt)
         return AppNode(label=label, children=tuple(children), units=tuple(units),
-                       coords=coords, nominal=batt, app=app, elim=lifted.elim)
+                       coords=coords, nominal=batt, app=app)
 
     try:
         return [_Solved(attempt(nominal), cohort_key)]
@@ -226,12 +235,11 @@ def _solve_chunk(label: str, units: list[FlexUnit], children: list[TreeNode],
     out = []
     for k, (un, child) in enumerate(zip(units, children)):
         solo_coords = tuple(range(un.active[0], un.active[-1] + 1))
-        solo = eliminate([un], coords=solo_coords)
         batt = _unit_nominal_on_span(un, solo_coords)
-        app = solve_app(solo, batt)
+        app = solve_app(eliminate([un], coords=solo_coords), batt)
         out.append(_Solved(
             AppNode(label=f"{label}.solo{k}", children=(child,), units=(un,),
-                    coords=solo_coords, nominal=batt, app=app, elim=solo.elim),
+                    coords=solo_coords, nominal=batt, app=app),
             None))
     return out
 
@@ -382,9 +390,7 @@ def aggregate(fleet: Fleet, config: Optional[AggregateConfig] = None) -> Aggrega
 
     root = level[0][1]
     return AggregationTree(
-        root=root, m=fleet.m, delta=delta,
-        battery=synthesize_battery(root, fleet.m),
-        n_stages=stage, stage1_groups=stage1_groups,
+        root=root, m=fleet.m, delta=delta, n_stages=stage, stage1_groups=stage1_groups,
         stage1_cohorts=stage1_cohorts, config=cfg.to_dict())
 
 
@@ -440,6 +446,8 @@ def _compile(tree: AggregationTree) -> _DispatchPlan:
 
     def visit(node: TreeNode) -> Optional[int]:
         if isinstance(node, Leaf):
+            if node.task_id in row_of:
+                raise ValidationError(f"task {node.task_id} has two leaves")
             row_of[node.task_id] = len(row_of)
             return None
         k = len(nodes)
@@ -564,9 +572,9 @@ def dispatch(tree: AggregationTree, u: np.ndarray, tol: float = 1e-6) -> Dispatc
         buf[lv.inner_dst] = buf[lv.inner_src]
     moved = np.abs(buf[:raw.size] - raw)
     clamped = []
-    for e in sorted((moved > 0).nonzero()[0].tolist(), key=plan.rank.__getitem__):
+    for e in sorted((moved != 0).nonzero()[0].tolist(), key=plan.rank.__getitem__):
         label, slot = plan.names[e]
-        if moved[e] > tol:
+        if not moved[e] <= tol:       # a NaN entry too
             raise DispatchInfeasible(f"{label}: slot {slot} violates bounds by {moved[e]:.3e}")
         clamped.append((label, slot, float(moved[e])))
     schedule = np.zeros(len(plan.task_ids) * m)
@@ -587,8 +595,7 @@ def _node_to_dict(node: TreeNode) -> dict:
             "label": node.label,
             "coords": list(node.coords),
             "nominal": node.nominal.to_dict(),
-            "app": node.app.to_dict(group_ids=[un.origin for un in node.units]),
-            "elim": node.elim.to_dict(),
+            "app": node.app.to_dict(),
             "units": [
                 {"active": list(un.active), "lo": [float(v) for v in un.lo],
                  "hi": [float(v) for v in un.hi], "e_low_kwh": un.e_low,
@@ -610,23 +617,27 @@ def _node_from_dict(d: dict, delta: float) -> TreeNode:
     kind = d["kind"]
     if kind == "leaf":
         return Leaf(task_id=d["task_id"])
-    children = tuple(_node_from_dict(c, delta) for c in d["children"])
+    label, children = d["label"], tuple(_node_from_dict(c, delta) for c in d["children"])
     coords = tuple(int(t) for t in d["coords"])
+    if not isinstance(label, str):
+        raise TypeError(f"node label must be a string, got {label!r}")
     if kind == "app":
         units = tuple(
             FlexUnit(active=tuple(u["active"]), lo=np.asarray(u["lo"], float),
                      hi=np.asarray(u["hi"], float), e_low=float(u["e_low_kwh"]),
                      e_high=float(u["e_high_kwh"]), origin=u["origin"], delta=delta)
             for u in d["units"])
-        app, elim = AppSolution.from_dict(d["app"]), EliminationMap.from_dict(d["elim"])
-        if (len(children), elim.unit_active, elim.coords, app.r.size, app.v.size) != (
-                len(units), tuple(u.active for u in units), coords, len(coords), elim.m_tilde):
-            raise ValueError(f"app node {d['label']}: fields disagree in count or slots")
-        return AppNode(
-            label=d["label"], children=children, units=units, coords=coords,
-            nominal=VirtualBattery.from_dict(d["nominal"]), app=app, elim=elim)
+        node = AppNode(label=label, children=children, units=units, coords=coords,
+                       nominal=VirtualBattery.from_dict(d["nominal"]),
+                       app=AppSolution.from_dict(d["app"]))
+        if (len(children), node.app.r.size, node.app.v.size) != (
+                len(units), len(coords), node.elim.m_tilde):
+            raise ValueError(f"app node {label}: fields disagree in count or slots")
+        return node
     if kind == "cohort":
-        return CohortNode(label=d["label"], children=children, coords=coords,
+        if any(not isinstance(c, AppNode) or c.coords != coords for c in children):
+            raise ValueError(f"cohort {label}: children must be app nodes over its coords")
+        return CohortNode(label=label, children=children, coords=coords,
                           base=VirtualBattery.from_dict(d["base"]))
     raise ValidationError(f"unknown tree node kind {kind!r}")
 
@@ -640,23 +651,30 @@ def tree_to_dict(tree: AggregationTree) -> dict:
         "stage1_groups": tree.stage1_groups,
         "stage1_cohorts": tree.stage1_cohorts,
         "config": tree.config,
-        "battery": tree.battery.to_dict(),
         "root": _node_to_dict(tree.root),
     }
 
 
 def tree_from_dict(d: dict) -> AggregationTree:
-    if int(d.get("version", -1)) != TREE_FORMAT_VERSION:
+    """Reads formats 1 and 2. What format 1 also stored, and a tree derives
+    (elimination maps, the root battery, an app's "lam", "mu" and
+    "group_ids"), is ignored."""
+    if int(d.get("version", -1)) not in (1, TREE_FORMAT_VERSION):
         raise ValidationError(f"unsupported tree format version {d.get('version')!r}")
     delta = float(d["delta_h"])
-    return AggregationTree(
+    tree = AggregationTree(
         root=_node_from_dict(d["root"], delta),
         m=int(d["m"]), delta=delta,
-        battery=VirtualBattery.from_dict(d["battery"]),
         n_stages=int(d["n_stages"]),
         stage1_groups=int(d["stage1_groups"]),
         stage1_cohorts=int(d["stage1_cohorts"]),
         config=dict(d["config"]))
+    root = tree.root
+    if not isinstance(root, Leaf):
+        if not 1 <= root.coords[0] <= root.coords[-1] <= tree.m:
+            raise ValueError(f"root coords outside slots 1..{tree.m}")
+        root.battery          # derived here, so that one it cannot be is a parse error
+    return tree
 
 
 def save_tree(tree: AggregationTree, path: str) -> None:

@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import (BadProfile, DimensionMismatch, LengthMismatch, ParseError,
-                     ValidationError)
+from .errors import (BadProfile, DimensionMismatch, EmptyUnit, LengthMismatch,
+                     ParseError, ValidationError)
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,8 @@ def write_json(path: str, data: dict) -> None:
 def read_json(path: str, build: Callable[[dict], T]) -> T:
     """`build` applied to a JSON file's content. Malformed JSON, and content
     `build` cannot use (a missing field, a wrong type or value, vectors of
-    unequal lengths), raise ParseError naming the file."""
+    unequal lengths, a unit with an empty admissible set), raise ParseError
+    naming the file."""
     try:
         with open(path) as fh:
             return build(json.load(fh))
@@ -201,7 +202,8 @@ def read_json(path: str, build: Callable[[dict], T]) -> T:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
-    except (AttributeError, DimensionMismatch, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, DimensionMismatch, EmptyUnit, IndexError, OverflowError,
+            TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

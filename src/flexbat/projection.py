@@ -117,7 +117,6 @@ class EliminationMap:
     coords: tuple[int, ...]
     n_t: tuple[tuple[int, ...], ...]
     j_t: tuple[Optional[int], ...]
-    s_i: tuple[tuple[int, ...], ...]
     utilde: tuple[tuple[int, int], ...]
     unit_active: tuple[tuple[int, ...], ...]
 
@@ -171,27 +170,6 @@ class EliminationMap:
         x = np.concatenate([z, utilde_vals, _PAD_ZERO])
         return np.split(np.subtract.reduce(x[index], axis=0), splits)
 
-    def to_dict(self) -> dict:
-        return {
-            "coords": list(self.coords),
-            "n_t": [list(v) for v in self.n_t],
-            "j_t": list(self.j_t),
-            "s_i": [list(v) for v in self.s_i],
-            "utilde": [list(v) for v in self.utilde],
-            "unit_active": [list(v) for v in self.unit_active],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EliminationMap":
-        return cls(
-            coords=tuple(d["coords"]),
-            n_t=tuple(tuple(v) for v in d["n_t"]),
-            j_t=tuple(None if v is None else int(v) for v in d["j_t"]),
-            s_i=tuple(tuple(v) for v in d["s_i"]),
-            utilde=tuple((int(a), int(b)) for a, b in d["utilde"]),
-            unit_active=tuple(tuple(v) for v in d["unit_active"]),
-        )
-
 
 @dataclass(frozen=True)
 class LiftedPolytope:
@@ -228,49 +206,46 @@ class LiftedPolytope:
         return self.b[:, self.m:]
 
 
+def elimination_map(units: Sequence[FlexUnit],
+                    coords: Optional[Sequence[int]] = None) -> EliminationMap:
+    """The substitution's bookkeeping over `coords` (default: the units'
+    union window), which must be sorted, unique and cover every unit's
+    active slots."""
+    if not units:
+        raise EmptyUnit("cannot eliminate over zero units")
+    union = sorted({t for un in units for t in un.active})
+    coords = union if coords is None else [int(t) for t in coords]
+    if coords != sorted(set(coords)):
+        raise ValueError("coords must be sorted and unique")
+    if set(union) - set(coords):
+        raise DimensionMismatch("coords must cover every unit's active slots")
+    n_t = tuple(tuple(i for i, un in enumerate(units) if t in un.active) for t in coords)
+    j_t = tuple(idx[0] if idx else None for idx in n_t)
+    first = dict(zip(coords, j_t))
+    return EliminationMap(
+        coords=tuple(coords), n_t=n_t, j_t=j_t,
+        utilde=tuple((i, t) for i, un in enumerate(units) for t in un.active if first[t] != i),
+        unit_active=tuple(un.active for un in units))
+
+
 def eliminate(units: Sequence[FlexUnit],
               coords: Optional[Sequence[int]] = None) -> LiftedPolytope:
     """Build the lifted inequality system for a unit collection.
 
-    `coords` may widen the aggregate coordinate set beyond the units' union
-    window (needed when several collections must share one nominal base);
-    slots covered by no unit get the pinned rows u_t <= 0, -u_t <= 0.
+    `coords`, sorted and unique, may widen the aggregate coordinate set
+    beyond the units' union window (needed when several collections must
+    share one nominal base); slots covered by no unit get the pinned rows
+    u_t <= 0, -u_t <= 0.
     Rows come in the fixed order: eliminated-coordinate rate bounds per
     slot, retained-coordinate rate bounds, then two energy rows per unit.
     """
     units = list(units)
-    if not units:
-        raise EmptyUnit("cannot eliminate over zero units")
-    union = sorted({t for un in units for t in un.active})
-    if coords is None:
-        coords = union
-    else:
-        coords = sorted(int(t) for t in coords)
-        if set(union) - set(coords):
-            raise DimensionMismatch("coords must cover every unit's active slots")
-    m = len(coords)
-    delta = units[0].delta
-    n_t = []
-    j_t: list[Optional[int]] = []
-    for t in coords:
-        idx = tuple(i for i, un in enumerate(units) if t in un.active)
-        n_t.append(idx)
-        j_t.append(idx[0] if idx else None)
-    s_i = [tuple(t for t in un.active if j_t[coords.index(t)] == i)
-           for i, un in enumerate(units)]
-    utilde = [(i, t) for i, un in enumerate(units) for t in un.active
-              if j_t[coords.index(t)] != i]
-    elim = EliminationMap(
-        coords=tuple(coords), n_t=tuple(n_t), j_t=tuple(j_t),
-        s_i=tuple(s_i), utilde=tuple(utilde),
-        unit_active=tuple(un.active for un in units))
-    m_tilde = elim.m_tilde
+    elim = elimination_map(units, coords)
+    coords, n_t, j_t, utilde = elim.coords, elim.n_t, elim.j_t, elim.utilde
+    m, m_tilde, delta = elim.m, elim.m_tilde, units[0].delta
     width = m + m_tilde
     rows: list[np.ndarray] = []
     rhs: list[float] = []
-
-    def ucol(t: int) -> int:
-        return elim.coord_index[t]
 
     def tcol(i: int, t: int) -> int:
         return m + elim.utilde_index[(i, t)]
@@ -279,7 +254,7 @@ def eliminate(units: Sequence[FlexUnit],
     for k, t in enumerate(coords):
         j = j_t[k]
         row = np.zeros(width)
-        row[ucol(t)] = 1.0
+        row[k] = 1.0
         if j is None:
             lo_j, hi_j = 0.0, 0.0
         else:
@@ -300,7 +275,7 @@ def eliminate(units: Sequence[FlexUnit],
     for i, un in enumerate(units):
         row = np.zeros(width)
         for t in un.active:
-            k = ucol(t)
+            k = elim.coord_index[t]
             if j_t[k] == i:
                 row[k] += delta
                 for other in n_t[k]:
@@ -513,23 +488,16 @@ class AppSolution:
         """Retained coordinates for an aggregate profile z of the homothet."""
         return self.w @ z + self.rule_offset
 
-    def to_dict(self, group_ids: Optional[Sequence[str]] = None) -> dict:
-        d = {
-            "s": self.s,
-            "r": [float(x) for x in self.r],
-            "W": [[float(x) for x in row] for row in self.w],
-            "V": [float(x) for x in self.v],
-            "lam": self.lam,
-            "mu": [float(x) for x in self.mu],
-        }
-        if group_ids is not None:
-            d["group_ids"] = list(group_ids)
-        return d
+    def to_dict(self) -> dict:
+        return {"s": self.s, "r": [float(x) for x in self.r],
+                "W": [[float(x) for x in row] for row in self.w],
+                "V": [float(x) for x in self.v]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "AppSolution":
-        """A stale "G" key is ignored. A non-finite number or an s <= 0 raises
-        ValueError, which `read_json` reports as a parse error naming the file."""
+        """Stale "G", "lam", "mu" and "group_ids" keys are ignored. A
+        non-finite number or an s <= 0 raises ValueError, which `read_json`
+        reports as a parse error naming the file."""
         app = cls(s=float(d["s"]), r=np.asarray(d["r"], float),
                   w=np.asarray(d["W"], float).reshape(len(d["V"]), len(d["r"])),
                   v=np.asarray(d["V"], float))

@@ -264,11 +264,13 @@ def contains_polytope(inner: HPolytope, outer: HPolytope,
 
 
 def support_function(p: HPolytope, v: np.ndarray) -> float:
-    """max v . x over p, by LP."""
+    """max v . x over p, by LP at tolerances of 1e-9: at HiGHS's defaults a
+    direction with a 1e-9 entry can come back 1e-9 short."""
     v = np.asarray(v, dtype=float).ravel()
     if v.size != p.dim:
         raise DimensionMismatch("direction dim vs polytope dim")
-    sol = lp.solve_lp(lp.LpProblem(objective=-v, a_in=p.a, b_in=p.c, name="support"))
+    sol = lp.solve_lp(lp.LpProblem(objective=-v, a_in=p.a, b_in=p.c, name="support"),
+                      tol_feas=1e-9, tol_opt=1e-9)
     if sol.status == lp.UNBOUNDED:
         raise UnboundedDirection("polytope unbounded along the query direction")
     if sol.status != lp.OPTIMAL:

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ from flexbat.cli import (PriceSeries, arbitrage, demo_price_curve, main,
                          save_battery)
 from flexbat.errors import (DispatchInfeasible, EmptyOrDegenerate, FlexError,
                             NotInBattery, ValidationError)
-from flexbat.fleet import ChargingTask, Fleet, GenProfile, generate_fleet
+from flexbat.fleet import ChargingTask, Fleet, GenProfile, generate_fleet, load_fleet
 from flexbat.geometry import VirtualBattery
 from flexbat.oracle import adequacy_lp, validate_schedule
 from flexbat.projection import solve_app
@@ -532,8 +534,7 @@ def test_dispatch_plan_stays_out_of_saved_files(tmp_path):
     assert save_all(tmp_path / "after") == before
     assert tree == twin
     assert [f.name for f in dataclasses.fields(AggregationTree)] == [
-        "root", "m", "delta", "battery", "n_stages", "stage1_groups",
-        "stage1_cohorts", "config"]
+        "root", "m", "delta", "n_stages", "stage1_groups", "stage1_cohorts", "config"]
 
     copy = load_tree(tmp_path / "after" / "tree.json")
     again = dispatch(copy, u)
@@ -700,6 +701,106 @@ def test_tree_version_guard():
     d["version"] = 99
     with pytest.raises(ValidationError):
         tree_from_dict(d)
+
+
+DATA = Path(__file__).parent / "data"
+#: keys format 1 stored and format 2 derives instead
+_DERIVED_KEYS = {"elim", "lam", "mu", "group_ids", "battery"}
+
+
+def _app_nodes(node):
+    if isinstance(node, AppNode):
+        yield node
+    for child in getattr(node, "children", ()):
+        yield from _app_nodes(child)
+
+
+def test_tree_format_1_loads_and_dispatches_as_its_resave(tmp_path):
+    """A format-1 file, which also stored each node's elimination map, the
+    root battery and each app's lam, mu and group ids, loads: every derived
+    map and the derived root battery equal the stored ones, and it
+    dispatches, clamps and errors included, exactly as its format-2
+    re-save does, to schedules its fleet admits."""
+    stored = json.loads((DATA / "tree_v1.json").read_text())
+    assert stored["version"] == 1
+    tree = load_tree(DATA / "tree_v1.json")
+    assert tree.battery == VirtualBattery.from_dict(stored["battery"])
+    maps = {d["label"]: d["elim"] for d in _dicts(stored["root"]) if d["kind"] == "app"}
+    assert len(maps) == 4
+    for node in _app_nodes(tree.root):
+        elim, saved = node.elim, maps.pop(node.label)
+        assert [list(elim.coords), [list(v) for v in elim.n_t], list(elim.j_t),
+                [list(v) for v in elim.utilde], [list(v) for v in elim.unit_active]] == [
+            saved["coords"], saved["n_t"], saved["j_t"], saved["utilde"], saved["unit_active"]]
+        assert saved["s_i"] == [[t for t in active if elim.j_t[elim.coord_index[t]] == i]
+                                for i, active in enumerate(elim.unit_active)]
+    assert not maps
+
+    save_tree(tree, tmp_path / "tree.json")
+    resaved = load_tree(tmp_path / "tree.json")
+    fleet = load_fleet(DATA / "fleet_v1.json")
+    b = tree.battery
+    profiles = [*sample_battery(b, 4, seed=1),
+                *(greedy_profile(b, e, order=order)
+                  for e in (b.e_low, b.e_high) for order in ("early", "late"))]
+    for u in profiles:
+        for tol in (1e-6, 0.0):
+            assert (_dispatch_outcome(dispatch, tree, u, tol)
+                    == _dispatch_outcome(dispatch, resaved, u, tol))
+        result = dispatch(resaved, u)
+        ordered = fleet_order_schedule(fleet, result.task_ids, result.schedule)
+        assert validate_schedule(fleet, ordered, u).ok
+
+
+def test_tree_format_2_saves_no_derived_keys_and_same_bytes(tmp_path):
+    """A format-2 file holds none of the keys format 1 stored for derived
+    values, and save -> load -> save gives the same bytes."""
+    fleet = load_fleet(DATA / "fleet_v1.json")
+    save_tree(aggregate(fleet, AggregateConfig(group_size=2, fanout=2)), tmp_path / "a.json")
+    save_tree(load_tree(tmp_path / "a.json"), tmp_path / "b.json")
+    text = (tmp_path / "a.json").read_text()
+    assert (tmp_path / "b.json").read_text() == text
+    data = json.loads(text)
+    assert data["version"] == 2
+    keys = set()
+    for node in _dicts(data["root"]):
+        keys |= node.keys() | node.get("app", {}).keys()
+    assert {"cohort", "app", "leaf"} == {node["kind"] for node in _dicts(data["root"])}
+    assert not (keys | data.keys()) & _DERIVED_KEYS
+
+
+def _cohort(d):
+    return next(node for node in _dicts(d["root"]) if node["kind"] == "cohort")
+
+
+def _repeat_leaf(d):
+    first, second = [node for node in _dicts(d["root"]) if node["kind"] == "leaf"][:2]
+    second["task_id"] = first["task_id"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: _cohort(d)["coords"].pop(), "children must be app nodes over its coords"),
+    (lambda d: _cohort(d).update(label=[7]), "node label must be a string"),
+    (lambda d: d.update(m=7), "root coords outside slots 1..7"),
+    (lambda d: d["root"]["app"].update(s=5e-324), "battery bounds and energies must be finite"),
+    (_repeat_leaf, "has two leaves"),
+], ids=["cohort_coords", "label", "horizon", "tiny_root_s", "two_leaves"])
+def test_tree_file_inconsistencies_raise(tmp_path, edit, message):
+    """Fields of a tree file that dispatch relies on to agree, and that no
+    single node's derivation checks: a cohort over other coords than its
+    children's, a node label that is not a string, root coords beyond the
+    horizon and a root s so small that its battery is not finite are parse
+    errors; two leaves for one task fail dispatch."""
+    tree = load_tree(DATA / "tree_v1.json")
+    u = greedy_profile(tree.battery, tree.battery.e_high, order="early")
+    data = json.loads((DATA / "tree_v1.json").read_text())
+    dispatch(tree, u)
+    edit(data)
+    (tmp_path / "tree.json").write_text(json.dumps(data))
+    with pytest.raises(FlexError, match=message):
+        edited = load_tree(tmp_path / "tree.json")
+        dispatch(edited, u[:edited.m])
 
 
 def test_bounds_report_columns():

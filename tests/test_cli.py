@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,18 +10,21 @@ from hypothesis import strategies as st
 
 from _helpers import arbitrage_lp
 from flexbat import aggregation, projection
-from flexbat.aggregation import AggregateConfig
+from flexbat.aggregation import AggregateConfig, load_tree
 from flexbat.cli import (arbitrage, baseline_immediate, demo_price_curve,
                          load_prices, main, read_profile, run_pipeline,
                          write_profile)
 from flexbat.errors import (EmptyBattery, LengthMismatch, ParseError,
                             TargetOutOfRange, ValidationError)
-from flexbat.fleet import (ChargingTask, Fleet, generate_fleet, load_fleet, save_fleet,
-                           save_schedule)
+from flexbat.fleet import (ChargingTask, Fleet, generate_fleet, load_fleet, load_schedule,
+                           save_fleet, save_schedule)
 from flexbat.geometry import VirtualBattery
 from flexbat.cli import PriceSeries
 from flexbat.oracle import adequacy_lp
-from flexbat.sampling import sample_battery
+from flexbat.sampling import greedy_profile, sample_battery
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_prices(path, values):
@@ -404,7 +408,7 @@ def test_cli_arbitrage_battery_m_mismatch_exit_4(tmp_path, capsys):
 
 def test_cli_dispatch_tree_battery_m_mismatch_exit_4(small_tree_json, tmp_path, capsys):
     data = json.loads((small_tree_json / "tree.json").read_text())
-    data["battery"]["m"] = 11
+    next(nd for nd in _tree_nodes(data["root"]) if nd["kind"] == "app")["nominal"]["m"] -= 1
     broken = tmp_path / "tree.json"
     broken.write_text(json.dumps(data))
     assert _dispatch_exit(broken, small_tree_json) == 4
@@ -547,12 +551,16 @@ def _drop_child(node):
     node["children"].pop()
 
 
-def _shrink_unit_active(node):
-    node["elim"]["unit_active"][0].pop()
+def _move_unit_slot(node):
+    node["units"][0]["active"][-1] = node["coords"][-1] + 1
 
 
-def _move_elim_coord(node):
-    node["elim"]["coords"][-1] += 100
+def _move_coord(node):
+    node["coords"][-1] += 100
+
+
+def _swap_coords(node):
+    node["coords"][:2] = node["coords"][1::-1]
 
 
 def _drop_r(node):
@@ -566,13 +574,34 @@ def _drop_v(node):
     node["app"]["W"].pop()
 
 
-@pytest.mark.parametrize("mutate", [_drop_child, _shrink_unit_active, _move_elim_coord,
-                                    _drop_r, _drop_v])
+def _empty_unit(node):
+    node["units"][0]["e_low_kwh"] = node["units"][0]["e_high_kwh"] + 1.0
+
+
+def _drop_units(node):
+    node["units"], node["children"] = [], []
+
+
+#: each mutant of an app node, and the parse error it gives
+_MUTANT_ERRORS = {
+    _drop_child: "disagree in count or slots",
+    _move_unit_slot: "coords must cover every unit's active slots",
+    _move_coord: "coords must cover every unit's active slots",
+    _swap_coords: "coords must be sorted and unique",
+    _drop_r: "disagree in count or slots",
+    _drop_v: "disagree in count or slots",
+    _empty_unit: "has an empty admissible set",
+    _drop_units: "cannot eliminate over zero units",
+}
+
+
+@pytest.mark.parametrize("mutate", list(_MUTANT_ERRORS))
 def test_cli_dispatch_tree_fields_disagree_exit_4(small_tree_json, tmp_path, capsys, mutate):
     """An app node whose fields disagree is a parse error naming the file,
-    and no schedule is written: a child count that is not the unit count,
-    an elimination map over other unit slots or other coords than the
-    node's, or an r or V (W cut to match) of the wrong length."""
+    and no schedule is written: a child count that is not the unit count, a
+    unit slot outside the node's coords, coords out of order, an r or V (W
+    cut to match) of the wrong length, a unit with an empty admissible set,
+    or no units at all."""
     data = json.loads((small_tree_json / "tree.json").read_text())
     mutate(next(nd for nd in _tree_nodes(data["root"])
                 if nd["kind"] == "app" and nd["app"]["V"] and len(nd["children"]) > 1))
@@ -582,7 +611,35 @@ def test_cli_dispatch_tree_fields_disagree_exit_4(small_tree_json, tmp_path, cap
     assert main(["dispatch", "--tree", str(broken), "--profile",
                  str(small_tree_json / "zero.csv"), "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert f"{broken}: " in err and "disagree in count or slots" in err
+    assert f"{broken}: " in err and _MUTANT_ERRORS[mutate] in err
+    assert not out.exists()
+
+
+def _top_profile(tree_path, path):
+    """Profile file of the early greedy profile at the root battery's energy
+    ceiling, at full precision (`write_profile` rounds to 1e-6 kW, which can
+    carry it outside the battery)."""
+    battery = load_tree(tree_path).battery
+    u = greedy_profile(battery, battery.e_high, order="early")
+    path.write_text("slot,power_kw\n" + "".join(
+        f"{t},{v!r}\n" for t, v in enumerate(u.tolist(), start=1)))
+    return path
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_cli_dispatch_overflowing_rule_exit_2(small_tree_json, tmp_path, capsys):
+    """A finite W entry of 1e308 parses, but its rule overflows to inf and
+    NaN in dispatch: the NaN entry is a violation (exit 2), and no schedule
+    is written."""
+    profile = _top_profile(small_tree_json / "tree.json", tmp_path / "profile.csv")
+    data = json.loads((small_tree_json / "tree.json").read_text())
+    data["root"]["app"]["W"][0][6] = 1e308
+    broken = tmp_path / "tree.json"
+    broken.write_text(json.dumps(data))
+    out = tmp_path / "sched.csv"
+    assert main(["dispatch", "--tree", str(broken), "--profile", str(profile),
+                 "--out", str(out)]) == 2
+    assert "violates bounds by nan" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -683,3 +740,77 @@ def test_cli_rejects_bad_flex_workers(tmp_path, monkeypatch, capsys, value):
                  "--battery", str(tmp_path / "battery.json")]) == 2
     assert "FLEX_WORKERS" in capsys.readouterr().err
     assert not (tmp_path / "tree.json").exists()
+
+
+def _json_paths(value, path=()):
+    """Path and value of every field of a JSON value, containers included."""
+    yield path, value
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, item in items:
+        yield from _json_paths(item, path + (key,))
+
+
+_NUMBERS = [0, 1, -1, 2, 10**30, 1e308, -1e308, 1e-308, 5e-324, float("nan"), float("inf")]
+_OTHER = [None, "x", True, [], {}]
+
+
+@st.composite
+def _tree_mutants(draw, data):
+    """A copy of a tree file's JSON with one field changed: a number nudged,
+    negated or replaced, a value of another type put in, a list entry
+    dropped, repeated or the list emptied or reversed, or a key deleted."""
+    path, value = draw(st.sampled_from(list(_json_paths(data))[1:]))
+    if isinstance(value, dict) and value:
+        gone = draw(st.sampled_from(sorted(value)))
+        new = {k: v for k, v in value.items() if k != gone}
+    elif isinstance(value, list) and value:
+        k = draw(st.integers(0, len(value) - 1))
+        new = draw(st.sampled_from([value[:k] + value[k + 1:], value[:k + 1] + value[k:],
+                                    [], value[::-1]]))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        new = draw(st.sampled_from([value + 1, -value, value * (1 + 1e-3)] + _NUMBERS))
+    else:
+        new = draw(st.sampled_from(_NUMBERS[:3] + _OTHER))
+    mutant = json.loads(json.dumps(data))
+    parent = mutant
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return mutant
+
+
+@pytest.fixture(scope="module")
+def probe_trees(small_tree_json, tmp_path_factory):
+    """A scratch directory, and (tree JSON, profile file inside its root
+    battery) for the tree of `small_tree_json` and for a tree with a cohort."""
+    outdir = tmp_path_factory.mktemp("probe")
+    assert main(["aggregate", "--fleet", str(DATA / "fleet_v1.json"),
+                 "--out", str(outdir / "cohort.json"), "--battery", str(outdir / "battery.json"),
+                 "--group-size", "2", "--fanout", "2"]) == 0
+    return outdir, [(json.loads(path.read_text()),
+                     _top_profile(path, outdir / f"{path.stem}_profile.csv"))
+                    for path in (small_tree_json / "tree.json", outdir / "cohort.json")]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_dispatch_survives_single_field_mutations(probe_trees, data):
+    """Every single-field mutant of a tree file, dispatched through the CLI
+    with a profile of the original root battery, ends in exit 0, 2, 3 or 4
+    and raises nothing else; a schedule written on exit 0 is finite."""
+    outdir, pairs = probe_trees
+    tree, profile = data.draw(st.sampled_from(pairs))
+    mutant = outdir / "mutant.json"
+    mutant.write_text(json.dumps(data.draw(_tree_mutants(tree))))
+    out = outdir / "sched.csv"
+    out.unlink(missing_ok=True)
+    code = main(["dispatch", "--tree", str(mutant), "--profile", str(profile), "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert np.isfinite(load_schedule(out)[1]).all()

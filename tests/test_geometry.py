@@ -87,6 +87,8 @@ def batteries_and_directions(draw):
           np.array([[1.0, 2.0, 3.0]])))
 @example((VirtualBattery([0.5, -1.0, 0.0], [1.5, 0.0, 0.0], 0.0, 0.25), 0.25,  # e_low binds
           np.array([[-1.0, -2.0, 5.0], [0.0, 0.0, 0.0]])))
+@example((VirtualBattery([0.0, 0.0, 0.0], [3.0, 0.0, 0.5], 0.0, 2.1), 1.0,     # 1e-9 entry
+          np.array([[1e-9, -2.0, -2.0]])))
 def test_battery_support_matches_lp(case):
     """`support` is the fractional knapsack's exact optimum: each row's
     value equals max a . u over the battery's facet form, solved by LP."""

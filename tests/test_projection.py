@@ -58,7 +58,7 @@ def test_eliminate_two_identical_units_counts():
     lifted = eliminate(units)
     assert lifted.m_tilde == 2          # the second unit's two coordinates
     assert lifted.n_rows == 2 * (2 + 4)
-    assert lifted.elim.s_i == ((1, 2), ())
+    assert lifted.elim.j_t == (0, 0)    # the first unit is eliminated at both slots
     assert lifted.elim.utilde == ((1, 1), (1, 2))
 
 

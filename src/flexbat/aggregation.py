@@ -443,6 +443,7 @@ def _compile(tree: AggregationTree) -> _DispatchPlan:
     ranks: dict[int, list[int]] = {}            # app node -> walk-order rank of each entry
     ticket = itertools.count()
     row_of: dict[str, int] = {}                 # schedule row of each task, leaves in pre-order
+    labels: set[str] = set()
 
     def visit(node: TreeNode) -> Optional[int]:
         if isinstance(node, Leaf):
@@ -450,6 +451,9 @@ def _compile(tree: AggregationTree) -> _DispatchPlan:
                 raise ValidationError(f"task {node.task_id} has two leaves")
             row_of[node.task_id] = len(row_of)
             return None
+        if node.label in labels:
+            raise ValidationError(f"node label {node.label} is used twice")
+        labels.add(node.label)
         k = len(nodes)
         nodes.append(node)
         kids.append([])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -37,6 +38,8 @@ class ChargingTask:
     def __post_init__(self):
         if not isinstance(self.id, str):
             raise TypeError(f"task id must be a string, got {self.id!r}")
+        if not all(map(math.isfinite, (self.p, self.e_low, self.e_high))):
+            raise ValueError(f"task {self.id}: rate and energies must be finite")
         if not 1 <= self.a < self.d:
             raise ValidationError(f"task {self.id}: need 1 <= a < d, got a={self.a} d={self.d}")
         if not self.p > 0:
@@ -68,6 +71,8 @@ class Fleet:
         object.__setattr__(self, "tasks", tuple(self.tasks))
         if self.m < 1:
             raise ValidationError("horizon must have at least one slot")
+        if not math.isfinite(self.delta):
+            raise ValueError("slot length must be finite")
         if self.delta <= 0:
             raise ValidationError("slot length must be positive")
         seen = set()

@@ -6,10 +6,11 @@ total-energy budget over its active slots) induces a lifted polytope over
 coordinates. The aggregate flexibility is the projection of that polytope
 onto u. `solve_app` finds the largest scaled-and-translated copy of a
 nominal battery that fits inside the projection, together with the affine
-rule u_tilde = W u + V that reconstructs per-unit profiles. Its LP, solved
-on the orbits of interchangeable slots (`app_orbits`), proves the fit with
-multipliers G; `check_app` proves it again from (s, r, W, V) alone, on every
-lifted row and in closed form, after every solve.
+rule u_tilde = W u + V that reconstructs per-unit profiles. Its LP proves
+the fit with multipliers G; `build_app` writes it directly on the orbits of
+interchangeable slots (`app_orbits`), and `check_app` proves the fit again
+from (s, r, W, V) alone, on every lifted row and in closed form, after
+every solve.
 """
 
 from __future__ import annotations
@@ -289,49 +290,27 @@ def eliminate(units: Sequence[FlexUnit],
                           m_tilde=m_tilde, elim=elim, delta=delta)
 
 
-def _nonzero(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and place within its row of each nonzero of `a`, row-major."""
-    row, col = np.nonzero(a)
-    return row, col, np.arange(row.size) - np.searchsorted(row, row)
-
-
-def _csr(shape: tuple[int, int], blocks) -> lp.SparseRows:
-    """Row-compressed matrix from blocks of (row, rank, col, value) entry arrays.
-
-    Blocks come in ascending column order: in every row, one block's
-    entries precede the next block's. `rank` is an entry's place among its
-    block's entries in that row, by ascending column. The arrays of a block
-    broadcast together. Blocks hold no zero values, so the arrays are those
-    `csr_matrix` makes from the dense matrix.
-    """
-    blocks = [np.broadcast_arrays(*block) for block in blocks]
-    counts = [np.bincount(row.ravel(), minlength=shape[0]) for row, _, _, _ in blocks]
-    indptr = lp.row_starts(sum(counts))
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    start = indptr[:-1].astype(np.intp)
-    for (row, rank, col, val), count in zip(blocks, counts):
-        at = start[row] + rank
-        indices[at] = col
-        data[at] = val
-        start += count
-    return lp.SparseRows(shape, indptr, indices, data)
-
-
-def build_app(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpProblem:
-    """LP of the homothet approximation against a nominal battery.
+def build_app(lifted: LiftedPolytope,
+              battery: VirtualBattery) -> tuple[lp.LpProblem, np.ndarray]:
+    """LP of the homothet approximation against a nominal battery, written
+    on the orbits of `app_orbits`, and the folded column of each column.
 
     Minimize s subject to G F = B [I; W], G H <= B [r; -V] + s c, G >= 0,
     s >= 0, F x <= H being the battery's facet form at the lifted system's
     slot length. Row i of G is (g+, g-, e+, e-) on the facets of F = [I; -I;
     delta 1'; -delta 1'], so G F = B [I; W] fixes g- = g+ + delta (e+ - e-)
-    - (B [I; W])_i. The LP keeps (s, G+, r, W, V) with G+ = (g+, e+, e-)
-    n x (m + 2) and W m_tilde x m, both row-major, and g- >= 0 as n m rows.
+    - (B [I; W])_i. The unfolded LP keeps (s, G+, r, W, V) with G+ = (g+,
+    e+, e-) n x (m + 2) and W m_tilde x m, both row-major, and g- >= 0 as
+    n m rows; it is what this writes for a system with no elimination map,
+    whose orbits are single columns. Otherwise each block's entries in the
+    kept rows go to their folded columns, and duplicates are summed in
+    ascending unfolded column order, as they come in each block's rows.
     s has no upper bound: `_checked_s` rejects a huge one after the solve.
     """
     if battery.m != lifted.m:
         raise DimensionMismatch(
             f"nominal dimension {battery.m} vs aggregate coordinates {lifted.m}")
+    rows, cols, reps = app_orbits(lifted, battery)
     b11, b12 = lifted.u_block, lifted.tail_block
     n, m, mt, k = lifted.n_rows, lifted.m, lifted.m_tilde, lifted.m + 2
     delta, p_low = lifted.delta, battery.p_low
@@ -339,50 +318,53 @@ def build_app(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpProblem:
     r0 = g0 + n * k
     w0 = r0 + m
     v0 = w0 + mt * m
-    nv = v0 + mt
-    rows = np.arange(n)[:, None]
-    slots = np.arange(m)
-    ti, tq, t_rank = _nonzero(b12)
+    kept, cert = rows[:n], rows[n:].reshape(n, m)
 
     # row i, G H <= B [r; -V] + s c: -s c_i + g+ . (p_high - p_low)
     #   + e+ (e_high - delta sum p_low) - e- (e_low - delta sum p_low)
     #   + p_low . (B12 W)_i - (B11 r)_i + (B12 V)_i <= -(B11 p_low)_i
     # row n + i*m + j, g-[i, j] >= 0: -g+[i, j] - delta (e+ - e-)_i
     #   + (B12 W)[i, j] <= -B11[i, j]
-    ci, = np.nonzero(lifted.c)
+    ci, = np.nonzero(lifted.c * kept)
     shift = delta * p_low.sum()
     h = np.concatenate([battery.p_high - p_low,
                         [battery.e_high - shift, shift - battery.e_low]])
     hl, = np.nonzero(h)
     pj, = np.nonzero(p_low)
-    ui, uj, u_rank = _nonzero(b11)
-    cert = n + rows * m + slots
-    a_in = _csr((n + n * m, nv), [
-        (ci, 0, 0, -lifted.c[ci]),
-        (rows, np.arange(hl.size), g0 + rows * k + hl, h[hl]),
-        (cert[..., None], np.arange(3), g0 + rows[..., None] * k + np.column_stack(
-            [slots, np.full(m, m), np.full(m, m + 1)]), np.array([-1.0, -delta, delta])),
-        (ui, u_rank, r0 + uj, -b11[ui, uj]),
-        (ti[:, None], t_rank[:, None] * pj.size + np.arange(pj.size),
-         w0 + tq[:, None] * m + pj, b12[ti, tq][:, None] * p_low[pj]),
-        (cert[ti], t_rank[:, None], w0 + tq[:, None] * m + slots, b12[ti, tq][:, None]),
-        (ti, t_rank, v0 + tq, b12[ti, tq]),
-    ])
-
-    lower = np.full(nv, -np.inf)
-    lower[:r0] = 0.0
-    objective = np.zeros(nv)
-    objective[0] = 1.0
-    return lp.LpProblem(objective=objective, a_in=a_in,
-                        b_in=np.concatenate([-(b11 @ p_low), -b11.ravel()]),
-                        lower=lower, name="app")
+    li = np.flatnonzero(kept)[:, None]
+    gi, gj = (a[:, None] for a in np.nonzero(cert))
+    ui, uj = np.nonzero(b11 * kept[:, None])      # row-major, kept rows only
+    ti, tq = np.nonzero(b12 * kept[:, None])
+    bt = b12[ti, tq]
+    te, tj = np.nonzero(cert[ti])
+    blocks = [
+        (ci, 0, -lifted.c[ci]),
+        (li, g0 + li * k + hl, h[hl]),
+        (n + gi * m + gj, g0 + gi * k + gj * [1, 0, 0] + [0, m, m + 1], [-1.0, -delta, delta]),
+        (ui, r0 + uj, -b11[ui, uj]),
+        (ti[:, None], w0 + tq[:, None] * m + pj, bt[:, None] * p_low[pj]),
+        (n + ti[te] * m + tj, w0 + tq[te] * m + tj, bt[te]),
+        (ti, v0 + tq, bt),
+    ]
+    row, col, val = (np.concatenate(part) for part in zip(*(
+        [a.ravel() for a in np.broadcast_arrays(*block)] for block in blocks)))
+    key, at = np.unique((np.cumsum(rows) - 1)[row] * reps.size + cols[col],
+                        return_inverse=True)
+    data = np.bincount(at, weights=val)
+    row, col = np.divmod(key[data != 0], reps.size)
+    a_in = lp.SparseRows((int(rows.sum()), reps.size), lp.row_starts(
+        np.bincount(row, minlength=rows.sum())), col.astype(np.int32), data[data != 0])
+    problem = lp.LpProblem(objective=(reps == 0).astype(float), a_in=a_in,
+                           b_in=np.concatenate([-(b11 @ p_low), -b11.ravel()])[rows],
+                           lower=np.where(reps < r0, 0.0, -np.inf), name="app")
+    return problem, cols
 
 
 def slot_classes(lifted: LiftedPolytope, battery: VirtualBattery) -> np.ndarray:
     """Class of each slot, numbered by first occurrence: the same active units,
     c on the slot's eliminated and retained (in unit order) rate rows and
-    nominal bounds, so that swapping two slots of one class maps `build_app`'s
-    LP onto itself. Without an elimination map each slot is its own class."""
+    nominal bounds, so that swapping two slots of one class maps the unfolded
+    APP LP onto itself. Without an elimination map each slot is its own class."""
     elim, c, m = lifted.elim, lifted.c, lifted.m
     if elim is None:
         return np.arange(m)
@@ -397,14 +379,15 @@ def slot_classes(lifted: LiftedPolytope, battery: VirtualBattery) -> np.ndarray:
 
 def app_orbits(lifted: LiftedPolytope,
                battery: VirtualBattery) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orbits of `build_app`'s rows and columns under swaps of slots of one
-    class: the mask of rows kept (the first of each orbit), the folded column
-    of each column (-1 for a dropped row's certificate), and the first column
-    of each folded column. An LP invariant under a permutation group has an
-    optimum the group fixes (Boedi, Herr & Joswig, Math. Prog. 2013), so one
-    variable per column orbit and one row per row orbit keep s. A rate row
-    fixes its slot, whose class its stabiliser splits in two; a W entry's
-    orbit is (unit, class, class, on the diagonal or not)."""
+    """Orbits of the unfolded APP LP's rows and columns under swaps of slots
+    of one class: the mask of rows kept (the first of each orbit), the
+    folded column of each column (-1 for a dropped row's certificate), and
+    the first column of each folded column. An LP invariant under a
+    permutation group has an optimum the group fixes (Boedi, Herr & Joswig,
+    Math. Prog. 2013), so one variable per column orbit and one row per row
+    orbit keep s. A rate row fixes its slot, whose class its stabiliser
+    splits in two; a W entry's orbit is (unit, class, class, on the
+    diagonal or not)."""
     n, m, mt, k = lifted.n_rows, lifted.m, lifted.m_tilde, lifted.m + 2
     cls = slot_classes(lifted, battery)
     slots, mate = np.arange(m), cls[:, None] == cls
@@ -437,23 +420,6 @@ def app_orbits(lifted: LiftedPolytope,
     cols = np.where(alive, np.searchsorted(reps, rep), -1)
     rows = np.concatenate([kept, (kept[:, None] & (g_first == slots)).ravel()])
     return rows, cols, reps
-
-
-def fold_app(problem: lp.LpProblem, rows: np.ndarray, cols: np.ndarray,
-             reps: np.ndarray) -> lp.LpProblem:
-    """`build_app`'s LP over the orbits of `app_orbits`: the kept rows, the
-    columns mapped, duplicate entries summed and exact zeros dropped."""
-    a = problem.a_in
-    per_row = np.diff(a.indptr)
-    held = np.repeat(rows, per_row)
-    key, at = np.unique(np.repeat(np.cumsum(rows) - 1, per_row)[held] * reps.size
-                        + cols[a.indices[held]], return_inverse=True)
-    data = np.bincount(at, weights=a.data[held])
-    row, col = np.divmod(key[data != 0], reps.size)
-    a_in = lp.SparseRows((int(rows.sum()), reps.size), lp.row_starts(
-        np.bincount(row, minlength=rows.sum())), col.astype(np.int32), data[data != 0])
-    return lp.LpProblem(objective=problem.objective[reps], a_in=a_in, b_in=problem.b_in[rows],
-                        lower=problem.lower[reps], upper=problem.upper[reps], name=problem.name)
 
 
 @dataclass(frozen=True)
@@ -548,8 +514,7 @@ def solve_app(lifted: LiftedPolytope, battery: VirtualBattery,
     caller's fallback ladder takes over.
     """
     lp.dump_text("lifted", "txt", lambda: _format_lifted(lifted))
-    rows, cols, reps = app_orbits(lifted, battery)
-    problem = fold_app(build_app(lifted, battery), rows, cols, reps)
+    problem, cols = build_app(lifted, battery)
     sol = lp.solve_lp(problem, tol_feas=tol, tol_opt=tol, method=lp.IPM)
     s = _checked_s(sol, problem.name)
     n, m, mt = lifted.n_rows, lifted.m, lifted.m_tilde

@@ -4,7 +4,7 @@ The general H-polytope form lives here: the library works on batteries
 only, and the tests compare it against these reference implementations.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Hashable, Optional, Sequence
 
@@ -604,27 +604,29 @@ def solve_app_reference(lifted: LiftedPolytope,
             np.maximum(x[1:r0].reshape(n, 2 * m + 2), 0.0))
 
 
-def solve_app_unfolded(lifted: LiftedPolytope, battery: VirtualBattery) -> AppSolution:
-    """`solve_app` on `build_app`'s LP as built, one variable per column and
-    every row: the oracle for the orbit-folded solve's s and its failures."""
-    problem = build_app(lifted, battery)
-    sol = lp.solve_lp(problem, tol_feas=APP_TOL, tol_opt=APP_TOL, method=lp.IPM)
-    s = _checked_s(sol, problem.name)
-    n, m, mt = lifted.n_rows, lifted.m, lifted.m_tilde
-    x = sol.x
-    r0 = 1 + n * (m + 2)
-    v0 = r0 + m + mt * m
-    app = AppSolution(s=s, r=x[r0:r0 + m], w=x[r0 + m:v0].reshape(mt, m), v=x[v0:])
-    slack, row = check_app(lifted, battery, app)
-    if not slack >= -CERTIFICATE_TOL:
-        raise EmptyOrDegenerate(f"{problem.name}: fit check failed, slack {slack:g} at row {row}")
-    return app
+def fold_app_reference(problem: lp.LpProblem, rows: np.ndarray, cols: np.ndarray,
+                       reps: np.ndarray) -> lp.LpProblem:
+    """Reference for `build_app`: the unfolded APP LP folded onto the orbits
+    of `app_orbits` after it is built, keeping the kept rows, mapping the
+    columns, summing duplicate entries and dropping exact zeros."""
+    a = as_rows(as_scipy(problem.a_in))
+    per_row = np.diff(a.indptr)
+    held = np.repeat(rows, per_row)
+    key, at = np.unique(np.repeat(np.cumsum(rows) - 1, per_row)[held] * reps.size
+                        + cols[a.indices[held]], return_inverse=True)
+    data = np.bincount(at, weights=a.data[held])
+    row, col = np.divmod(key[data != 0], reps.size)
+    a_in = lp.SparseRows((int(rows.sum()), reps.size), lp.row_starts(
+        np.bincount(row, minlength=rows.sum())), col.astype(np.int32), data[data != 0])
+    return lp.LpProblem(objective=problem.objective[reps], a_in=a_in, b_in=problem.b_in[rows],
+                        lower=problem.lower[reps], upper=problem.upper[reps], name=problem.name)
 
 
 def build_opp3(lifted: LiftedPolytope, battery: VirtualBattery) -> lp.LpProblem:
-    """LP of the fixed-cross-section approximation: the APP LP with W = 0,
-    that is without the W columns, variables (s, G+, r, V)."""
-    app = build_app(lifted, battery)
+    """LP of the fixed-cross-section approximation: the unfolded APP LP
+    (`build_app` without the elimination map, so every slot is its own
+    class) with W = 0, that is without the W columns, variables (s, G+, r, V)."""
+    app, _ = build_app(replace(lifted, elim=None), battery)
     m, mt = lifted.m, lifted.m_tilde
     w0 = 1 + lifted.n_rows * (m + 2) + m
     keep = np.r_[0:w0, w0 + mt * m:app.n_vars]

@@ -769,6 +769,24 @@ def test_tree_format_2_saves_no_derived_keys_and_same_bytes(tmp_path):
     assert not (keys | data.keys()) & _DERIVED_KEYS
 
 
+def test_aggregate_reproduces_the_saved_tree_bit_for_bit():
+    """Aggregating the fleet that `tree_v1.json` was written from, with the
+    settings it was written with, gives that tree node for node, with every
+    s, r, W and V the same to the bit: a change to the APP LP or its solve
+    that moves an optimum, even in the last bit, fails here."""
+    tree = aggregate(load_fleet(DATA / "fleet_v1.json"), AggregateConfig(group_size=2, fanout=2))
+    saved = load_tree(DATA / "tree_v1.json")
+    assert tree == saved
+    assert tree_to_dict(tree) == tree_to_dict(saved)
+    pairs = list(zip(_app_nodes(tree.root), _app_nodes(saved.root), strict=True))
+    assert len(pairs) == 4
+    for new, old in pairs:
+        assert new.label == old.label
+        for name in ("s", "r", "w", "v"):
+            assert (np.asarray(getattr(new.app, name)).tobytes()
+                    == np.asarray(getattr(old.app, name)).tobytes()), (new.label, name)
+
+
 def _cohort(d):
     return next(node for node in _dicts(d["root"]) if node["kind"] == "cohort")
 
@@ -778,6 +796,10 @@ def _repeat_leaf(d):
     second["task_id"] = first["task_id"]
 
 
+def _repeat_label(d):
+    d["root"]["children"][0]["label"] = d["root"]["label"]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("edit, message", [
     (lambda d: _cohort(d)["coords"].pop(), "children must be app nodes over its coords"),
@@ -785,13 +807,15 @@ def _repeat_leaf(d):
     (lambda d: d.update(m=7), "root coords outside slots 1..7"),
     (lambda d: d["root"]["app"].update(s=5e-324), "battery bounds and energies must be finite"),
     (_repeat_leaf, "has two leaves"),
-], ids=["cohort_coords", "label", "horizon", "tiny_root_s", "two_leaves"])
+    (_repeat_label, "is used twice"),
+], ids=["cohort_coords", "label", "horizon", "tiny_root_s", "two_leaves", "duplicate_label"])
 def test_tree_file_inconsistencies_raise(tmp_path, edit, message):
     """Fields of a tree file that dispatch relies on to agree, and that no
     single node's derivation checks: a cohort over other coords than its
     children's, a node label that is not a string, root coords beyond the
     horizon and a root s so small that its battery is not finite are parse
-    errors; two leaves for one task fail dispatch."""
+    errors; two leaves for one task, and two nodes of one label (which key
+    dispatch's group profiles), fail dispatch."""
     tree = load_tree(DATA / "tree_v1.json")
     u = greedy_profile(tree.battery, tree.battery.e_high, order="early")
     data = json.loads((DATA / "tree_v1.json").read_text())

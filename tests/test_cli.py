@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -462,6 +463,29 @@ def test_cli_arbitrage_battery_nan_p_low_exit_4(tmp_path, capsys):
     assert not profile_path.exists()
 
 
+@pytest.mark.parametrize("command", ["aggregate", "oracle"])
+@pytest.mark.parametrize("field, value, message", [
+    ("p_kw", float("inf"), "task ev0000: rate and energies must be finite"),
+    ("e_high_kwh", float("inf"), "task ev0000: rate and energies must be finite"),
+    ("delta_h", float("nan"), "slot length must be finite"),
+])
+def test_cli_fleet_non_finite_exit_4(small_tree_json, tmp_path, capsys, command, field, value,
+                                     message):
+    """An infinite rate or energy, or a NaN slot length, in a fleet file is
+    a parse error that names the file: no traceback from `aggregate`, and
+    no verdict from `oracle` on a fleet with an infinite rate."""
+    data = json.loads((DATA / "fleet_v1.json").read_text())
+    (data["tasks"][0] if field != "delta_h" else data)[field] = value
+    fleet_path = tmp_path / "fleet.json"
+    fleet_path.write_text(json.dumps(data))
+    write_profile(np.zeros(8), tmp_path / "zero.csv")
+    args = (["--out", str(tmp_path / "tree.json"), "--battery", str(tmp_path / "b.json")]
+            if command == "aggregate" else ["--profile", str(tmp_path / "zero.csv")])
+    assert main([command, "--fleet", str(fleet_path), *args]) == 4
+    assert f"{fleet_path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "tree.json").exists()
+
+
 def test_cli_dispatch_tree_nan_unit_bound_exit_4(small_tree_json, tmp_path, capsys):
     """A NaN in one unit's bounds is a parse error that names the file."""
     data = json.loads((small_tree_json / "tree.json").read_text())
@@ -760,8 +784,8 @@ _OTHER = [None, "x", True, [], {}]
 
 
 @st.composite
-def _tree_mutants(draw, data):
-    """A copy of a tree file's JSON with one field changed: a number nudged,
+def _json_mutants(draw, data):
+    """A copy of an input file's JSON with one field changed: a number nudged,
     negated or replaced, a value of another type put in, a list entry
     dropped, repeated or the list emptied or reversed, or a key deleted."""
     path, value = draw(st.sampled_from(list(_json_paths(data))[1:]))
@@ -807,10 +831,59 @@ def test_cli_dispatch_survives_single_field_mutations(probe_trees, data):
     outdir, pairs = probe_trees
     tree, profile = data.draw(st.sampled_from(pairs))
     mutant = outdir / "mutant.json"
-    mutant.write_text(json.dumps(data.draw(_tree_mutants(tree))))
+    mutant.write_text(json.dumps(data.draw(_json_mutants(tree))))
     out = outdir / "sched.csv"
     out.unlink(missing_ok=True)
     code = main(["dispatch", "--tree", str(mutant), "--profile", str(profile), "--out", str(out)])
     assert code in (0, 2, 3, 4)
     if code == 0:
         assert np.isfinite(load_schedule(out)[1]).all()
+
+
+def _finite_file(path) -> bool:
+    """Every number in a written JSON file, or in a CSV file below its
+    header, is finite."""
+    if path.suffix == ".csv":
+        return bool(np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all())
+    return all(math.isfinite(v) for _, v in _json_paths(json.loads(path.read_text()))
+               if isinstance(v, float))
+
+
+#: mutants drawn per command; an `aggregate` run solves several LPs
+_INPUT_MUTANTS = {"arbitrage": 150, "oracle": 150, "aggregate": 60}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("command", list(_INPUT_MUTANTS))
+def test_cli_survives_single_field_input_mutations(probe_trees, command):
+    """Every single-field mutant of a battery file run through `flex
+    arbitrage`, and of a fleet file run through `flex oracle` and `flex
+    aggregate`, ends in exit 0, 2, 3 or 4 and raises nothing else; every
+    file written on exit 0 holds only finite numbers."""
+    outdir, pairs = probe_trees
+    write_prices(outdir / "lmp.csv", [30.0, 20.0, 25.0, 40.0, 10.0, 35.0, 50.0, 15.0])
+    mutant = outdir / f"{command}_mutant.json"
+    if command == "arbitrage":
+        source, written = outdir / "battery.json", [outdir / "profile.csv"]
+        args = ["--battery", mutant, "--prices", outdir / "lmp.csv", "--out-profile", *written]
+    elif command == "oracle":
+        source, written = DATA / "fleet_v1.json", []
+        args = ["--fleet", mutant, "--profile", pairs[1][1]]
+    else:
+        source, written = DATA / "fleet_v1.json", [outdir / "tree.json", outdir / "root.json"]
+        args = ["--fleet", mutant, "--out", written[0], "--battery", written[1],
+                "--group-size", "2", "--fanout", "2"]
+
+    @settings(max_examples=_INPUT_MUTANTS[command], deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def run(data):
+        mutant.write_text(json.dumps(data.draw(_json_mutants(json.loads(source.read_text())))))
+        for path in written:
+            path.unlink(missing_ok=True)
+        code = main([command, *map(str, args)])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert all(_finite_file(path) for path in written)
+
+    run()

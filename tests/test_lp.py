@@ -44,7 +44,7 @@ def test_example1_app_instance_objective():
         b=np.array([[-0.5, -1.0], [0.6, 1.0], [-1.0, -1.0]]),
         c=np.array([-9.0, 10.0, -10.0]), m=1, m_tilde=1)
     nominal = VirtualBattery([-0.5], [1.0], -0.5, 1.0)
-    sol = lp.solve_lp(build_app(lifted, nominal))
+    sol = lp.solve_lp(build_app(lifted, nominal)[0])
     assert sol.status == lp.OPTIMAL
     assert sol.objective_value == pytest.approx(0.15, abs=1e-8)
 
@@ -174,7 +174,7 @@ def test_format_lp_sparse_rows_match_dense():
     units = [FlexUnit.from_task(t) for t in generate_fleet(3, 12, seed=2).tasks]
     lifted = eliminate(units, coords=range(1, 13))
     nominal = VirtualBattery(np.zeros(12), np.ones(12), 0.0, 12.0)
-    problem = build_app(lifted, nominal)
+    problem, _ = build_app(replace(lifted, elim=None), nominal)
     assert isinstance(problem.a_in, lp.SparseRows) and lifted.m_tilde > 0
     # the APP LP has inequality rows only; they stand in for equality rows too
     sparse = replace(problem, a_eq=problem.a_in, b_eq=problem.b_in)

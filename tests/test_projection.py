@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (battery_to_hpolytope, build_app_dense, build_app_reference,
-                      build_opp3, contains_polytope, homothet_apply,
+                      build_opp3, contains_polytope, fold_app_reference, homothet_apply,
                       certificate, certificate_residuals, max_violation,
                       random_small_fleet, reconstruct_reference, solve_app_reference,
-                      solve_app_unfolded, solve_opp3, support_function)
+                      solve_opp3, support_function)
 from flexbat import lp, projection
 from flexbat.aggregation import (Leaf, _mean_nominal, _most_constrained,
                                  _solve_chunk, _span, _unit_nominal_on_span,
@@ -384,6 +384,12 @@ def _battery_system(units, coords, p_low):
     return lifted, VirtualBattery(p_low, p_high, delta * p_low.sum(), delta * p_high.sum())
 
 
+def _mean_nominal_system(units):
+    """Lifted system of `units` over their span, against their mean nominal."""
+    coords = _span(units)
+    return eliminate(units, coords=coords), _mean_nominal(units, coords, units[0].delta)
+
+
 @st.composite
 def lifted_systems(draw):
     """A lifted system and a nominal battery over its coordinates, at slot
@@ -411,84 +417,6 @@ def lifted_systems(draw):
     p_low = np.array(draw(st.lists(value, min_size=m, max_size=m)))
     return lifted, VirtualBattery(p_low, p_low + 1.0, delta * p_low.sum(),
                                   delta * (p_low.sum() + m))
-
-
-def _csr_bytes(mat):
-    return (mat.shape, mat.indptr.dtype, mat.indptr.tobytes(), mat.indices.dtype,
-            mat.indices.tobytes(), mat.data.tobytes())
-
-
-def _sorted_unique_columns(mat) -> bool:
-    """Every row's column indices strictly increase (scipy's canonical format)."""
-    return all((np.diff(mat.indices[lo:hi]) > 0).all()
-               for lo, hi in zip(mat.indptr[:-1], mat.indptr[1:]))
-
-
-@settings(max_examples=200, deadline=None)
-@given(lifted_systems())
-@example(_battery_system(   # pinned coords wider than the units' union
-    [task_unit(2, 3, 1.0, 0.5, 1.5, "a"), unit((3,), 2.0, 1.0, 2.0, "b")],
-    (1, 2, 3, 4, 5), [0.0, 0.5, 0.0, 1.0, 0.0]))
-@example(_battery_system(   # disjoint windows: m_tilde == 0
-    [task_unit(1, 2, 1.0, 0.5, 1.5, "a"), task_unit(3, 4, 2.0, 1.0, 2.0, "b")],
-    None, [0.5, 0.5, 1.0, 1.0]))
-@example(_battery_system(   # nominal p_low == 0: zeros in H
-    [task_unit(1, 3, 1.0, 0.5, 1.5, "a"), task_unit(2, 4, 2.0, 1.0, 2.0, "b")],
-    None, np.zeros(4)))
-@example(_battery_system(   # half-hour slots: delta and -delta in F
-    [FlexUnit.from_task(ChargingTask("a", 1, 3, 1.0, 0.25, 0.75), delta=0.5),
-     FlexUnit.from_task(ChargingTask("b", 2, 4, 2.0, 0.5, 1.0), delta=0.5)],
-    None, [0.5, 0.0, 1.0, 0.0]))
-def test_build_app_matches_reference(system):
-    """The one-pass builder gives the bytes of the substituted APP LP
-    written entry by entry, from the battery's facet form at the lifted
-    system's slot length: CSR arrays, right-hand sides, objective and
-    bounds. OPP3 is the same LP without the W columns."""
-    lifted, battery = system
-    new = build_app(lifted, battery)
-    ref = build_app_dense(lifted, battery)
-    dense = sp.csr_matrix(ref.a_in)
-    assert new.a_eq is None and new.b_eq is None
-    assert _sorted_unique_columns(new.a_in)
-    assert _csr_bytes(new.a_in) == _csr_bytes(dense)
-    for name in ("b_in", "objective", "lower", "upper"):
-        assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
-
-    m, mt = lifted.m, lifted.m_tilde
-    assert new.n_vars == 1 + lifted.n_rows * (m + 2) + m + mt * m + mt
-    w0 = 1 + lifted.n_rows * (m + 2) + m
-    keep = np.r_[0:w0, w0 + mt * m:new.n_vars]
-    opp3 = build_opp3(lifted, battery)
-    assert _sorted_unique_columns(opp3.a_in)
-    assert _csr_bytes(opp3.a_in) == _csr_bytes(dense[:, keep].tocsr())
-    assert opp3.b_in.tobytes() == new.b_in.tobytes()
-    for name in ("objective", "lower", "upper"):
-        assert getattr(opp3, name).tobytes() == getattr(new, name)[keep].tobytes(), name
-
-
-@settings(max_examples=60, deadline=None)
-@given(lifted_systems())
-@example(_battery_system(   # half-hour slots and a nominal with p_low != 0
-    [FlexUnit.from_task(ChargingTask("a", 1, 3, 1.0, 0.25, 0.75), delta=0.5),
-     FlexUnit.from_task(ChargingTask("b", 2, 4, 2.0, 0.5, 1.0), delta=0.5)],
-    None, [0.5, 0.0, 1.0, 0.0]))
-def test_app_s_matches_unsubstituted_lp(system):
-    """Substituting g- out changes no optimum: the LP with G whole
-    (`build_app_reference`) reaches the same s to 1e-9 relative at slot
-    lengths 1, 0.5 and 0.25, and where it is solvable `solve_app`'s
-    solution passes the fit check."""
-    lifted, battery = system
-    new = lp.solve_lp(build_app(lifted, battery), tol_feas=APP_TOL, tol_opt=APP_TOL,
-                      method=lp.IPM)
-    old = lp.solve_lp(build_app_reference(lifted, battery_to_hpolytope(battery, lifted.delta)),
-                      tol_feas=APP_TOL, tol_opt=APP_TOL, method=lp.IPM)
-    assert new.status == old.status
-    if new.status != lp.OPTIMAL:
-        return
-    assert new.objective_value == pytest.approx(old.objective_value, rel=1e-9, abs=1e-12)
-    if new.objective_value > projection.S_MIN:
-        sol = solve_app(lifted, battery)
-        assert check_app(lifted, battery, sol)[0] >= -1e-6
 
 
 @st.composite
@@ -519,17 +447,108 @@ def common_window_systems(draw):
                                   delta * (p_low.sum() + lifted.m))
 
 
+def _csr_bytes(mat):
+    return (mat.shape, mat.indptr.dtype, mat.indptr.tobytes(), mat.indices.dtype,
+            mat.indices.tobytes(), mat.data.tobytes())
+
+
+def _sorted_unique_columns(mat) -> bool:
+    """Every row's column indices strictly increase (scipy's canonical format)."""
+    return all((np.diff(mat.indices[lo:hi]) > 0).all()
+               for lo, hi in zip(mat.indptr[:-1], mat.indptr[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(lifted_systems(), common_window_systems()))
+@example(_battery_system(   # pinned coords wider than the units' union
+    [task_unit(2, 3, 1.0, 0.5, 1.5, "a"), unit((3,), 2.0, 1.0, 2.0, "b")],
+    (1, 2, 3, 4, 5), [0.0, 0.5, 0.0, 1.0, 0.0]))
+@example(_battery_system(   # disjoint windows: m_tilde == 0
+    [task_unit(1, 2, 1.0, 0.5, 1.5, "a"), task_unit(3, 4, 2.0, 1.0, 2.0, "b")],
+    None, [0.5, 0.5, 1.0, 1.0]))
+@example(_battery_system(   # nominal p_low == 0: zeros in H
+    [task_unit(1, 3, 1.0, 0.5, 1.5, "a"), task_unit(2, 4, 2.0, 1.0, 2.0, "b")],
+    None, np.zeros(4)))
+@example(_battery_system(   # half-hour slots: delta and -delta in F
+    [FlexUnit.from_task(ChargingTask("a", 1, 3, 1.0, 0.25, 0.75), delta=0.5),
+     FlexUnit.from_task(ChargingTask("b", 2, 4, 2.0, 0.5, 1.0), delta=0.5)],
+    None, [0.5, 0.0, 1.0, 0.0]))
+@example(_mean_nominal_system(   # one class of six slots: sums of six equal terms
+    [FlexUnit.from_task(ChargingTask("a", 1, 6, 3.3, 18.0, 19.8)),   # that round
+     FlexUnit.from_task(ChargingTask("b", 1, 6, 3.3, 14.0, 15.6))]))  # unlike 6 * x
+def test_build_app_matches_reference(system):
+    """The one-pass builder gives the bytes of the substituted APP LP
+    written entry by entry, from the battery's facet form at the lifted
+    system's slot length: CSR arrays, right-hand sides, objective and
+    bounds. Without the elimination map that is the LP as written, column
+    for column; with it, the LP folded onto `app_orbits` after it is built,
+    duplicates summed in ascending unfolded column order, and the column
+    map is the orbits'. OPP3 is the unfolded LP without the W columns."""
+    lifted, battery = system
+    ref = build_app_dense(lifted, battery)
+    dense = sp.csr_matrix(ref.a_in)
+    rows, cols, reps = projection.app_orbits(lifted, battery)
+    new, new_cols = build_app(replace(lifted, elim=None), battery)
+    folded, folded_cols = build_app(lifted, battery)
+    assert np.array_equal(new_cols, np.arange(new.n_vars))
+    assert np.array_equal(folded_cols, cols)
+    fold_ref = fold_app_reference(ref, rows, cols, reps)
+    for got, want, want_a in ((new, ref, dense), (folded, fold_ref, fold_ref.a_in)):
+        assert got.a_eq is None and got.b_eq is None
+        assert _sorted_unique_columns(got.a_in)
+        assert _csr_bytes(got.a_in) == _csr_bytes(want_a)
+        for name in ("b_in", "objective", "lower", "upper"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    m, mt = lifted.m, lifted.m_tilde
+    assert new.n_vars == 1 + lifted.n_rows * (m + 2) + m + mt * m + mt
+    w0 = 1 + lifted.n_rows * (m + 2) + m
+    keep = np.r_[0:w0, w0 + mt * m:new.n_vars]
+    opp3 = build_opp3(lifted, battery)
+    assert _sorted_unique_columns(opp3.a_in)
+    assert _csr_bytes(opp3.a_in) == _csr_bytes(dense[:, keep].tocsr())
+    assert opp3.b_in.tobytes() == new.b_in.tobytes()
+    for name in ("objective", "lower", "upper"):
+        assert getattr(opp3, name).tobytes() == getattr(new, name)[keep].tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifted_systems())
+@example(_battery_system(   # half-hour slots and a nominal with p_low != 0
+    [FlexUnit.from_task(ChargingTask("a", 1, 3, 1.0, 0.25, 0.75), delta=0.5),
+     FlexUnit.from_task(ChargingTask("b", 2, 4, 2.0, 0.5, 1.0), delta=0.5)],
+    None, [0.5, 0.0, 1.0, 0.0]))
+def test_app_s_matches_unsubstituted_lp(system):
+    """Substituting g- out changes no optimum: the LP with G whole
+    (`build_app_reference`) reaches the same s to 1e-9 relative at slot
+    lengths 1, 0.5 and 0.25, and where it is solvable `solve_app`'s
+    solution passes the fit check."""
+    lifted, battery = system
+    new = lp.solve_lp(build_app(replace(lifted, elim=None), battery)[0], tol_feas=APP_TOL,
+                      tol_opt=APP_TOL, method=lp.IPM)
+    old = lp.solve_lp(build_app_reference(lifted, battery_to_hpolytope(battery, lifted.delta)),
+                      tol_feas=APP_TOL, tol_opt=APP_TOL, method=lp.IPM)
+    assert new.status == old.status
+    if new.status != lp.OPTIMAL:
+        return
+    assert new.objective_value == pytest.approx(old.objective_value, rel=1e-9, abs=1e-12)
+    if new.objective_value > projection.S_MIN:
+        sol = solve_app(lifted, battery)
+        assert check_app(lifted, battery, sol)[0] >= -1e-6
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(lifted_systems(), common_window_systems()))
 def test_app_fold_keeps_s(system):
     """Solving on the orbits of interchangeable slots changes no optimum:
-    `solve_app` gives the s of `build_app`'s LP solved as built to 1e-9
-    relative, both raise EmptyOrDegenerate together, and the folded
-    solution passes `check_app` on every lifted row. A system with no two
-    slots of one class folds to `build_app`'s exact bytes."""
+    `solve_app` gives the s of the unfolded LP (`build_app` without the
+    elimination map) to 1e-9 relative, both raise EmptyOrDegenerate
+    together, and the folded solution passes `check_app` on every lifted
+    row. A system with no two slots of one class folds to the unfolded LP's
+    exact bytes."""
     lifted, battery = system
-    full = build_app(lifted, battery)
-    folded = projection.fold_app(full, *projection.app_orbits(lifted, battery))
+    full, _ = build_app(replace(lifted, elim=None), battery)
+    folded, _ = build_app(lifted, battery)
     if np.unique(projection.slot_classes(lifted, battery)).size == lifted.m:
         assert _csr_bytes(folded.a_in) == _csr_bytes(full.a_in)
         for name in ("b_in", "objective", "lower", "upper"):
@@ -537,7 +556,7 @@ def test_app_fold_keeps_s(system):
     else:
         assert folded.a_in.shape[0] < full.a_in.shape[0]
     try:
-        ref = solve_app_unfolded(lifted, battery)
+        ref = solve_app(replace(lifted, elim=None), battery)
     except EmptyOrDegenerate:
         with pytest.raises(EmptyOrDegenerate):
             solve_app(lifted, battery)
